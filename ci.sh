@@ -83,6 +83,20 @@ print("three-tier report matches golden (plan_cost_usd = %.6f)" % doc["plan_cost
 PY
 rm -rf "$out"
 
+echo "== three-tier HARL scenario golden =="
+# The same cluster and workload under the HARL policy: the only golden
+# that runs the K>=3 coordinate descent end to end.
+out="$(mktemp -d)"
+cargo run --release -q -p harl-bench --bin harl-cli -- \
+    run --scenario scenarios/three_tier_harl.json --out "$out/three_tier_harl.json"
+if ! diff -u scenarios/three_tier_harl.golden.json "$out/three_tier_harl.json"; then
+    echo "three-tier HARL report diverged from scenarios/three_tier_harl.golden.json" >&2
+    echo "(if the change is intentional, regenerate the golden with the command above)" >&2
+    exit 1
+fi
+echo "three-tier HARL report matches golden"
+rm -rf "$out"
+
 echo "== bench-planning regression guard =="
 # Full-scale rerun of the three planning phases; fails if any phase's
 # throughput drops more than 20% below the committed BENCH_planning.json
@@ -142,7 +156,7 @@ echo "== determinism audit (fast tier) =="
 # Re-runs the smoke and multiapp scenarios at 1 and 8 planner threads,
 # hashes every artifact (report JSON + wall-clock-stripped metrics JSONL)
 # and fails on any byte difference across thread budgets or against the
-# committed goldens. The full tier (all three scenarios, threads 1/2/8,
+# committed goldens. The full tier (all four scenarios, threads 1/2/8,
 # two seeds) is `harl-cli audit-determinism` without --fast.
 cargo run --release -q -p harl-bench --bin harl-cli -- \
     audit-determinism --fast

@@ -134,6 +134,12 @@ const CASES: &[Case] = &[
         golden: "scenarios/three_tier.golden.json",
     },
     Case {
+        name: "three_tier_harl",
+        kind: CaseKind::Run,
+        scenario: "scenarios/three_tier_harl.json",
+        golden: "scenarios/three_tier_harl.golden.json",
+    },
+    Case {
         name: "multiapp",
         kind: CaseKind::Serve,
         scenario: "scenarios/multiapp.json",
@@ -287,7 +293,7 @@ fn audit_row(
     }
     let tlist: Vec<String> = threads.iter().map(|t| t.to_string()).collect();
     report.lines.push(format!(
-        "{:<10} seed={:<9} threads {{{}}} hash={:#018x}{}",
+        "{:<15} seed={:<9} threads {{{}}} hash={:#018x}{}",
         case.name,
         seed_label,
         tlist.join(","),
@@ -299,7 +305,7 @@ fn audit_row(
 /// Run the determinism audit from `root` (the repo checkout holding
 /// `scenarios/`).
 ///
-/// The full tier replays all three pinned scenarios at thread budgets
+/// The full tier replays all four pinned scenarios at thread budgets
 /// {1, 2, 8} under the scenario's own seed and [`ALT_SEED`]; the fast
 /// tier (`--fast`, the ci.sh stage) trims to the smoke and multiapp
 /// scenarios at budgets {1, 8} under the default seed only.
@@ -312,7 +318,7 @@ pub fn run_audit(root: &Path, fast: bool) -> AuditReport {
     };
     let mut report = AuditReport::default();
     for case in CASES {
-        if fast && case.name == "three_tier" {
+        if fast && case.name.starts_with("three_tier") {
             continue;
         }
         for &seed in seeds {

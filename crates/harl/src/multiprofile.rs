@@ -11,8 +11,17 @@
 //! spirit to the paper's loops) and iterate to a fixed point. On two-class
 //! inputs it recovers the same optima as the exhaustive grid (see the
 //! tests), and the fixed point is deterministic.
+//!
+//! Each candidate is scored like a grid candidate (see [`crate::optimizer`]):
+//! the sample is split once into strided runs, each run's offset residues
+//! are costed once per cycle and replayed in sample order, and a candidate
+//! is dropped once its running sum strictly exceeds the incumbent's. Every
+//! descent result is bit-identical to scoring each candidate with a plain
+//! per-request sum (`crates/harl/tests/descent_props.rs` holds that oracle).
 
+use crate::fold::OrderedSum;
 use crate::model::CostModelParams;
+use crate::optimizer::{strided_runs, StridedRun};
 use harl_devices::{NetworkProfile, OpKind, OpParams, StorageProfile};
 use harl_pfs::ClusterConfig;
 use serde::{Deserialize, Serialize};
@@ -103,6 +112,14 @@ impl MultiProfileModel {
         out
     }
 
+    /// True when some populated class has a non-zero width.
+    fn has_capacity(&self, widths: &[u64]) -> bool {
+        self.classes
+            .iter()
+            .zip(widths)
+            .any(|(c, &w)| c.count > 0 && w > 0)
+    }
+
     /// Cost of one request under per-class widths (the generalised
     /// Eqs. 7/8). Allocation-free: this is the per-request hot path of the
     /// online monitor and the coordinate-descent inner loop, so the class
@@ -170,6 +187,10 @@ impl From<MultiProfileModel> for CostModelParams {
     }
 }
 
+/// Full descent sweeps before [`MultiProfileOptimizer`] and the `K ≥ 3`
+/// arm of [`crate::optimize_region`] stop at the current point.
+pub(crate) const MAX_SWEEPS: usize = 16;
+
 /// Coordinate-descent stripe optimizer over K classes.
 #[derive(Debug, Clone)]
 pub struct MultiProfileOptimizer {
@@ -190,21 +211,8 @@ impl MultiProfileOptimizer {
             model,
             step: 4 * 1024,
             max_grid_points: 128,
-            max_sweeps: 16,
+            max_sweeps: MAX_SWEEPS,
         }
-    }
-
-    fn effective_step(&self, avg: u64) -> u64 {
-        let min_step = avg.div_ceil(self.max_grid_points.max(1) as u64);
-        self.step * min_step.div_ceil(self.step).max(1)
-    }
-
-    fn total_cost(&self, sample: &[(u64, u64, OpKind)], widths: &[u64]) -> f64 {
-        crate::fold::sum_f64(
-            sample
-                .iter()
-                .map(|&(o, r, op)| self.model.request_cost(o, r, op, widths)),
-        )
     }
 
     /// Optimise per-class widths for a region's request sample (offsets
@@ -215,128 +223,189 @@ impl MultiProfileOptimizer {
     /// per-class-favoured start), axes are scanned in class order, ties
     /// prefer larger widths, and the best fixed point wins.
     pub fn optimize(&self, sample: &[(u64, u64, OpKind)], avg: u64) -> (Vec<u64>, f64) {
-        let k = self.model.class_count();
-        assert!(k > 0, "no classes");
-        let step = self.effective_step(avg.max(1));
-        let r_bar = avg.max(step).div_ceil(step) * step;
+        let step = crate::optimizer::effective_step(self.step, self.max_grid_points, avg.max(1));
+        coordinate_descent(&self.model, step, self.max_sweeps, sample, avg)
+    }
+}
 
-        let zero_out = |mut w: Vec<u64>| -> Vec<u64> {
-            for (c, wi) in self.model.classes.iter().zip(w.iter_mut()) {
-                if c.count == 0 {
-                    *wi = 0;
-                }
+/// [`MultiProfileOptimizer::optimize`] over a borrowed model at an already
+/// effective grid `step` — the `K ≥ 3` arm of [`crate::optimize_region`].
+pub(crate) fn coordinate_descent(
+    model: &MultiProfileModel,
+    step: u64,
+    max_sweeps: usize,
+    sample: &[(u64, u64, OpKind)],
+    avg: u64,
+) -> (Vec<u64>, f64) {
+    let k = model.class_count();
+    assert!(k > 0, "no classes");
+    let r_bar = avg.max(step).div_ceil(step) * step;
+
+    let zero_out = |mut w: Vec<u64>| -> Vec<u64> {
+        for (c, wi) in model.classes.iter().zip(w.iter_mut()) {
+            if c.count == 0 {
+                *wi = 0;
             }
-            w
-        };
-        let balanced = zero_out(vec![r_bar.div_ceil(k as u64 * step) * step; k]);
-        assert!(balanced.iter().any(|&w| w > 0), "no servers in any class");
-        if sample.is_empty() {
-            return (balanced, 0.0);
         }
+        w
+    };
+    let balanced = zero_out(vec![r_bar.div_ceil(k as u64 * step) * step; k]);
+    assert!(balanced.iter().any(|&w| w > 0), "no servers in any class");
+    if sample.is_empty() {
+        return (balanced, 0.0);
+    }
 
-        // Starting points: balanced, read-bandwidth-proportional, and each
-        // class alone at R̄.
-        let mut starts: Vec<Vec<u64>> = vec![balanced];
-        let inv_beta: Vec<f64> = self
+    // Starting points: balanced, read-bandwidth-proportional, and each
+    // class alone at R̄.
+    let mut starts: Vec<Vec<u64>> = vec![balanced];
+    let inv_beta: Vec<f64> = model
+        .classes
+        .iter()
+        .map(|c| {
+            if c.read.beta_s_per_byte > 0.0 {
+                1.0 / c.read.beta_s_per_byte
+            } else {
+                1.0
+            }
+        })
+        .collect();
+    let total_inv = crate::fold::sum_f64(
+        model
+            .classes
+            .iter()
+            .zip(&inv_beta)
+            .map(|(c, &b)| c.count as f64 * b),
+    );
+    if total_inv > 0.0 {
+        let proportional: Vec<u64> = inv_beta
+            .iter()
+            .map(|&b| {
+                let w = (r_bar as f64 * b / total_inv) as u64;
+                w.div_ceil(step).max(1) * step
+            })
+            .collect();
+        starts.push(zero_out(proportional));
+    }
+    for solo in 0..k {
+        if model.classes[solo].count == 0 {
+            continue;
+        }
+        let mut w = vec![0u64; k];
+        w[solo] = r_bar;
+        starts.push(w);
+    }
+
+    let mut scorer = Scorer::new(model, sample);
+    starts
+        .into_iter()
+        .filter(|w| model.has_capacity(w))
+        .map(|start| scorer.descend(start, step, r_bar, max_sweeps))
+        // The infinite-cost sentinel loses to every real descent (and
+        // on a cost tie, any non-empty widths vector orders above the
+        // empty one), so it only surfaces if no start survives the
+        // filter — impossible for a cluster with servers.
+        .fold((Vec::new(), f64::INFINITY), |a, b| {
+            if b.1 < a.1 || (b.1 == a.1 && b.0 > a.0) {
+                b
+            } else {
+                a
+            }
+        })
+}
+
+/// Scores candidate widths over one sample, split once into the grid's
+/// strided runs (see [`crate::optimizer`]).
+struct Scorer<'a> {
+    model: &'a MultiProfileModel,
+    runs: Vec<StridedRun>,
+    /// Per-residue costs of the run being scored (reused scratch).
+    cycle: Vec<f64>,
+}
+
+impl<'a> Scorer<'a> {
+    fn new(model: &'a MultiProfileModel, sample: &[(u64, u64, OpKind)]) -> Self {
+        Scorer {
+            model,
+            runs: strided_runs(sample),
+            cycle: Vec::new(),
+        }
+    }
+
+    /// The sample's summed cost under `widths` — or, as soon as the
+    /// running sum strictly exceeds `bound`, that partial sum.
+    ///
+    /// Each run costs one `request_cost` per residue of its offset cycle,
+    /// then replays those costs in sample order into one left fold: the
+    /// same values added in the same order as a per-request sum, so the
+    /// result is bit-identical to it. Costs are non-negative, so a cut-off
+    /// candidate's full sum would also exceed `bound`: a caller comparing
+    /// against `bound` rejects the partial sum as it would the full one.
+    fn cost(&mut self, widths: &[u64], bound: f64) -> f64 {
+        let group: u64 = self
             .model
             .classes
             .iter()
-            .map(|c| {
-                if c.read.beta_s_per_byte > 0.0 {
-                    1.0 / c.read.beta_s_per_byte
-                } else {
-                    1.0
+            .zip(widths)
+            .map(|(c, &w)| c.count as u64 * w)
+            .sum();
+        let mut sum = OrderedSum::new();
+        for run in &self.runs {
+            let (period, d) = run.cycle(group);
+            self.cycle.clear();
+            let mut r = run.o0 % group;
+            for _ in 0..period {
+                let c = self.model.request_cost(r, run.size, run.op, widths);
+                self.cycle.push(c);
+                sum.add(c);
+                if sum.value() > bound {
+                    return sum.value();
                 }
-            })
-            .collect();
-        let total_inv = crate::fold::sum_f64(
-            self.model
-                .classes
-                .iter()
-                .zip(&inv_beta)
-                .map(|(c, &b)| c.count as f64 * b),
-        );
-        if total_inv > 0.0 {
-            let proportional: Vec<u64> = inv_beta
-                .iter()
-                .map(|&b| {
-                    let w = (r_bar as f64 * b / total_inv) as u64;
-                    w.div_ceil(step).max(1) * step
-                })
-                .collect();
-            starts.push(zero_out(proportional));
-        }
-        for solo in 0..k {
-            if self.model.classes[solo].count == 0 {
-                continue;
+                r += d;
+                if r >= group {
+                    r -= group;
+                }
             }
-            let mut w = vec![0u64; k];
-            w[solo] = r_bar;
-            starts.push(w);
-        }
-
-        starts
-            .into_iter()
-            .filter(|w| {
-                self.model
-                    .classes
-                    .iter()
-                    .zip(w)
-                    .any(|(c, &wi)| c.count > 0 && wi > 0)
-            })
-            .map(|start| self.descend(sample, start, step, r_bar))
-            // The infinite-cost sentinel loses to every real descent (and
-            // on a cost tie, any non-empty widths vector orders above the
-            // empty one), so it only surfaces if no start survives the
-            // filter — impossible for a cluster with servers.
-            .fold((Vec::new(), f64::INFINITY), |a, b| {
-                if b.1 < a.1 || (b.1 == a.1 && b.0 > a.0) {
-                    b
-                } else {
-                    a
+            for &c in self.cycle.iter().cycle().take(run.count - period) {
+                sum.add(c);
+                if sum.value() > bound {
+                    return sum.value();
                 }
-            })
+            }
+        }
+        sum.value()
     }
 
     /// One coordinate-descent run from a fixed starting point.
     fn descend(
-        &self,
-        sample: &[(u64, u64, OpKind)],
+        &mut self,
         mut widths: Vec<u64>,
         step: u64,
         r_bar: u64,
+        max_sweeps: usize,
     ) -> (Vec<u64>, f64) {
-        let k = widths.len();
-        let mut best_cost = self.total_cost(sample, &widths);
+        let mut best_cost = self.cost(&widths, f64::INFINITY);
 
-        for _sweep in 0..self.max_sweeps {
+        for _sweep in 0..max_sweeps {
             let mut improved = false;
-            for axis in 0..k {
+            for axis in 0..widths.len() {
                 if self.model.classes[axis].count == 0 {
                     continue;
                 }
-                let mut best_w = widths[axis];
+                // The incumbent already costs `best_cost` and, under the
+                // larger-width tie rule, can never displace `best_w`.
+                let incumbent = widths[axis];
+                let mut best_w = incumbent;
                 let mut w = 0u64;
                 while w <= r_bar + step {
-                    let saved = widths[axis];
                     widths[axis] = w;
-                    let valid = self
-                        .model
-                        .classes
-                        .iter()
-                        .zip(&widths)
-                        .any(|(c, &cw)| c.count > 0 && cw > 0);
-                    if valid {
-                        let cost = self.total_cost(sample, &widths);
+                    if w != incumbent && self.model.has_capacity(&widths) {
+                        let cost = self.cost(&widths, best_cost);
                         if cost < best_cost || (cost == best_cost && w > best_w) {
-                            if cost < best_cost {
-                                improved = true;
-                            }
+                            improved |= cost < best_cost;
                             best_cost = cost;
                             best_w = w;
                         }
                     }
-                    widths[axis] = saved;
                     w += step;
                 }
                 widths[axis] = best_w;

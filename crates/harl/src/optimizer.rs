@@ -35,23 +35,33 @@
 //! runs sequentially, so the budget is never over-subscribed.
 //!
 //! Two hot-path optimizations keep each candidate cheap without changing
-//! the result:
+//! the result, on both paths. Both start from the sample's split into
+//! maximal strided runs (`strided_runs`), made once per search; a request's
+//! cost depends on its offset only through `offset mod group` (the layout
+//! repeats every `G = Σ count·w` bytes), so a run's residues cycle and each
+//! residue of the cycle is costed once per candidate.
 //!
-//! * **weighted folding** — request cost depends on the offset only
-//!   through `offset mod group` (the layout repeats every
-//!   `M·h + N·s` bytes), so per candidate the sample collapses to unique
-//!   `(offset mod group, size, op)` keys with multiplicities; uniform
-//!   IOR-style regions fold thousands of requests into a handful of
-//!   weighted evaluations;
+//! * **run folding** — the `K = 2` grid folds each residue's cost in with
+//!   its multiplicity (`mult · c`), so uniform IOR-style regions collapse
+//!   thousands of requests into a handful of weighted evaluations. The
+//!   `K ≥ 3` descent instead *replays* the per-residue costs one request
+//!   at a time, in sample order: the same values added in the same order
+//!   as a plain per-request sum, so its results are bit-identical to that
+//!   sum. A weighted fold rounds differently in the low bits, which could
+//!   move the descent's exact-tie decisions.
 //! * **monotone pruning** — per-request costs are non-negative, so a
 //!   candidate is abandoned as soon as its running sum strictly exceeds
 //!   the best cost found so far; an abandoned candidate can at best tie
 //!   the incumbent on cost and is never reported, leaving the winner (and
 //!   its exact summation order) unchanged.
+//!
+//! Both rely on runs only ascending and never overflowing (`o0 + count·d`
+//! fits in a `u64`): stepping `o0 mod G` by `d mod G` yields the offsets'
+//! true residues only then. A descending pair starts a new run.
 
 use crate::cast::{u64_to_usize, usize_to_u64};
 use crate::model::CostModelParams;
-use crate::multiprofile::{MultiProfileModel, MultiProfileOptimizer};
+use crate::multiprofile::{coordinate_descent, MultiProfileModel, MAX_SWEEPS};
 use crate::trace::TraceRecord;
 use harl_simcore::{registry, SimContext};
 use serde::{Deserialize, Serialize};
@@ -90,10 +100,16 @@ impl OptimizerConfig {
     /// the configured step, raised so the axis has at most
     /// `max_grid_points` points.
     pub fn effective_step(&self, avg: u64) -> u64 {
-        let min_step = avg.div_ceil(usize_to_u64(self.max_grid_points.max(1)));
-        let steps_needed = min_step.div_ceil(self.step).max(1);
-        self.step * steps_needed
+        effective_step(self.step, self.max_grid_points, avg)
     }
+}
+
+/// [`OptimizerConfig::effective_step`] on bare fields — the one step
+/// formula both the grid and the descent use.
+pub(crate) fn effective_step(step: u64, max_grid_points: usize, avg: u64) -> u64 {
+    let min_step = avg.div_ceil(usize_to_u64(max_grid_points.max(1)));
+    let steps_needed = min_step.div_ceil(step).max(1);
+    step * steps_needed
 }
 
 /// The chosen per-class stripe widths for one region, with the predicted
@@ -215,7 +231,7 @@ fn candidates(avg: u64, step: u64, m: usize, n: usize) -> Vec<(u64, u64)> {
 ///   pre-generalisation optimizer (fig7-golden-guarded): ties break to the
 ///   largest `(h, s)` (see `pick_better`).
 /// * `K ≥ 3` — deterministic coordinate descent
-///   ([`MultiProfileOptimizer`]), sharing the step / grid-point / sample
+///   ([`crate::MultiProfileOptimizer`]), sharing the step / grid-point / sample
 ///   budget of the same [`OptimizerConfig`].
 ///
 /// `avg_request_size` is the region's `R̄` from Algorithm 1.
@@ -307,21 +323,13 @@ fn optimize_region_sampled(
     cfg: &OptimizerConfig,
 ) -> (LayoutChoice, usize) {
     assert!(cfg.step > 0, "grid step must be positive");
-    if model.class_count() != 2 {
-        let sample = requests.sample(cfg.max_requests_per_eval);
-        let sampled = sample.len();
-        let opt = MultiProfileOptimizer {
-            model: model.clone(),
-            step: cfg.step,
-            max_grid_points: cfg.max_grid_points,
-            max_sweeps: 16,
-        };
-        let (widths, cost) = opt.optimize(&sample, avg_request_size);
-        return (LayoutChoice { widths, cost }, sampled);
-    }
-    let pair = CostModelParams::from_multi(model.clone());
     let step = cfg.effective_step(avg_request_size.max(1));
     let sample = requests.sample(cfg.max_requests_per_eval);
+    if model.class_count() != 2 {
+        let (widths, cost) = coordinate_descent(model, step, MAX_SWEEPS, &sample, avg_request_size);
+        return (LayoutChoice { widths, cost }, sample.len());
+    }
+    let pair = CostModelParams::from_multi(model.clone());
     let cands = candidates(avg_request_size, step, pair.m(), pair.n());
     assert!(
         !cands.is_empty(),
@@ -384,31 +392,48 @@ fn optimize_region_sampled(
 ///
 /// Request cost depends on the offset only through `offset mod group`, and
 /// the residues of an arithmetic progression mod `G` cycle with period
-/// `P = G / gcd(d, G)` — so a run folds analytically into at most
-/// `min(P, count)` weighted cost evaluations per candidate, with exact
-/// multiplicities and no per-request work. Uniform regions are one long
-/// run; irregular samples decompose into short runs, where a length-1 run
-/// reproduces the plain per-request evaluation bit for bit.
-struct StridedRun {
-    o0: u64,
-    d: u64,
-    size: u64,
-    op: harl_devices::OpKind,
-    count: usize,
+/// `P = G / gcd(d, G)` — so a run needs at most `min(P, count)` cost
+/// evaluations per candidate, with no further per-request model work.
+/// Uniform regions are one long run; irregular samples decompose into
+/// short runs, where a length-1 run is the plain per-request evaluation.
+///
+/// Runs only ascend (`d ≥ 0`) and never overflow (`o0 + count·d` fits in
+/// a `u64`): both cost paths compute residues as `o0 mod G` stepped by
+/// `d mod G`, which is the offsets' true residue sequence only under that
+/// precondition. A descending pair starts a new run instead.
+pub(crate) struct StridedRun {
+    pub(crate) o0: u64,
+    pub(crate) d: u64,
+    pub(crate) size: u64,
+    pub(crate) op: harl_devices::OpKind,
+    pub(crate) count: usize,
 }
 
-/// Greedy decomposition of the sample into maximal strided runs.
-fn strided_runs(sample: &[(u64, u64, harl_devices::OpKind)]) -> Vec<StridedRun> {
+impl StridedRun {
+    /// Cycle length of this run's offset residues mod `group`, capped at
+    /// the run length, with the residue step `d mod group`.
+    pub(crate) fn cycle(&self, group: u64) -> (usize, u64) {
+        let d = self.d % group;
+        let period = if d == 0 { 1 } else { group / gcd(d, group) };
+        (u64_to_usize(period.min(usize_to_u64(self.count))), d)
+    }
+}
+
+/// Greedy decomposition of the sample into maximal ascending strided runs.
+pub(crate) fn strided_runs(sample: &[(u64, u64, harl_devices::OpKind)]) -> Vec<StridedRun> {
     let mut runs: Vec<StridedRun> = Vec::new();
     for &(o, r, op) in sample {
         if let Some(run) = runs.last_mut() {
-            if run.size == r && run.op == op {
+            if run.size == r && run.op == op && o >= run.o0 {
                 if run.count == 1 {
-                    run.d = o.wrapping_sub(run.o0);
+                    run.d = o - run.o0;
                     run.count = 2;
                     continue;
                 }
-                if o == run.o0.wrapping_add(usize_to_u64(run.count) * run.d) {
+                let next = usize_to_u64(run.count)
+                    .checked_mul(run.d)
+                    .and_then(|step| run.o0.checked_add(step));
+                if next == Some(o) {
                     run.count += 1;
                     continue;
                 }
@@ -448,23 +473,14 @@ fn best_of(
         let group = usize_to_u64(model.m()) * h + usize_to_u64(model.n()) * s;
         let mut cost = crate::fold::OrderedSum::new();
         for run in &runs {
-            let d = run.d % group;
-            let period = if d == 0 {
-                1
-            } else {
-                u64_to_usize(group / gcd(d, group))
-            };
+            let (period, d) = run.cycle(group);
             let n = run.count;
             // Residue j of the cycle appears ⌈n/P⌉ times for j < n mod P
-            // and ⌊n/P⌋ after; with P > n the first n residues appear once.
+            // and ⌊n/P⌋ after; with P ≥ n the n residues appear once each.
             let (whole, extra) = (n / period, n % period);
             let mut r = run.o0 % group;
-            for j in 0..period.min(n) {
-                let mult = if period <= n {
-                    (whole + usize::from(j < extra)) as f64
-                } else {
-                    1.0
-                };
+            for j in 0..period {
+                let mult = (whole + usize::from(j < extra)) as f64;
                 cost.add(mult * model.request_cost_with(&startup, r, run.size, run.op, h, s));
                 if cost.value() > best.cost {
                     continue 'cands; // cannot win, even on the tie-break
@@ -732,6 +748,68 @@ mod tests {
         );
         assert_eq!(a.widths, b.widths);
         assert!((a.cost - b.cost).abs() < 1e-12);
+    }
+
+    #[test]
+    fn strided_runs_ascend_and_replay_the_sample() {
+        // Descending pairs start new runs: a wrapped stride would make
+        // `d mod G` differ from the offsets' true residue step.
+        let mut sample: Vec<(u64, u64, OpKind)> = (0..40u64)
+            .rev()
+            .map(|j| (j * 700 * KB, 700 * KB, OpKind::Read))
+            .collect();
+        // A stride whose next step would overflow: the wrapped offset must
+        // not extend the run.
+        let q = u64::MAX / 4;
+        sample.extend([0, 3 * q, (3 * q).wrapping_mul(2)].map(|o| (o, 1, OpKind::Write)));
+        let runs = strided_runs(&sample);
+        let replayed: Vec<(u64, u64, OpKind)> = runs
+            .iter()
+            .flat_map(|run| {
+                (0..usize_to_u64(run.count)).map(move |j| {
+                    let offset = j
+                        .checked_mul(run.d)
+                        .and_then(|step| run.o0.checked_add(step));
+                    (offset.expect("run offsets fit in u64"), run.size, run.op)
+                })
+            })
+            .collect();
+        assert_eq!(replayed, sample);
+        assert_eq!(runs.len(), 40 + 2, "descending: one run per request");
+    }
+
+    #[test]
+    fn reversed_trace_plans_like_forward() {
+        // A reversed trace must be scored on its true residues: same
+        // widths as the forward trace, and a reported cost that is the
+        // plain per-request sum. (Sizes with a unique optimum: where
+        // several widths tie exactly, the two summation orders may round
+        // the tie differently.)
+        let m = model();
+        let cfg = OptimizerConfig {
+            threads: 1,
+            ..OptimizerConfig::default()
+        };
+        for (n, size) in [(97, 900 * KB), (24, 900 * KB), (97, 700 * KB)] {
+            let forward = recs(n, size, OpKind::Read);
+            let reversed: Vec<TraceRecord> = forward.iter().rev().copied().collect();
+            let plan = |records: &[TraceRecord]| {
+                let reqs = RegionRequests::new(records, 0);
+                optimize_region(&SimContext::new(), &m, &reqs, size, &cfg, 0)
+            };
+            let (f, r) = (plan(&forward), plan(&reversed));
+            assert_eq!(r.widths, f.widths, "{n} x {size} B reversed");
+            let exact = RegionRequests::new(&reversed, 0).cost_of_widths(
+                &m,
+                &r.widths,
+                cfg.max_requests_per_eval,
+            );
+            assert!(
+                (r.cost - exact).abs() <= 1e-9 * exact,
+                "{n} x {size} B reversed: grid cost {} vs exact {exact}",
+                r.cost
+            );
+        }
     }
 
     #[test]
