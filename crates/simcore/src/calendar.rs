@@ -63,7 +63,7 @@ const ADAPT_EVERY: u64 = 32768;
 /// Target mean entries per bucket. Small keeps most pushes out of the
 /// current bucket (an `O(1)` ring push instead of a side-heap insert)
 /// while still amortising the fixed cost of a bucket load over several
-/// pops; 4 measured fastest on the bench-sim tiers.
+/// pops; 4 measured fastest on the 8- to 4096-server engine tiers.
 const TARGET_OCCUPANCY: u64 = 4;
 
 /// Queue key: orders by `(at, seq)`; `slot` rides along and is never

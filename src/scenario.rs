@@ -23,7 +23,9 @@
 //! Scenarios round-trip through JSON ([`Scenario::to_json_pretty`] /
 //! [`Scenario::from_json`]) and are validated before running: a file that
 //! parses but describes an impossible experiment (zero-size requests, a
-//! fault on a server that does not exist, …) is rejected with a reason.
+//! segment too small for one request, more requests than
+//! [`MAX_WORKLOAD_REQUESTS`], a fault on a server that does not exist, …)
+//! is rejected with a reason.
 
 use harl_core::errors::LoadError;
 use harl_core::{
@@ -134,6 +136,147 @@ pub enum WorkloadSpec {
     /// Replay a trace file previously saved with
     /// [`Trace::save_to_path`](harl_core::Trace::save_to_path).
     ReplayTrace(String),
+}
+
+/// The most requests one scenario's workload may generate, checked from
+/// the workload's closed form before anything is built.
+///
+/// Every request is held in memory at several layers at once (the logical
+/// request, its trace record, its physical sub-requests and their events),
+/// so an unbounded count ends in an allocation abort rather than an error.
+/// 2^24 is about five times the largest workload the repository runs:
+/// Fig. 12's BTIO at paper scale with 64 processes, about 3.5 M requests.
+pub const MAX_WORKLOAD_REQUESTS: u64 = 1 << 24;
+
+/// Requests an IOR-style area of `len` bytes generates: each of
+/// `processes` ranks owns a `len / processes` segment and issues whole
+/// `request_size` requests in it. An area whose segment cannot hold one
+/// request is an error, since it would run to a report of no work.
+fn segment_requests(
+    area: &str,
+    len: u64,
+    processes: usize,
+    request_size: u64,
+) -> Result<u64, String> {
+    let segment = len / processes as u64;
+    let blocks = segment / request_size;
+    if blocks == 0 {
+        return Err(format!(
+            "{area} of {len} bytes gives each of {processes} processes a \
+             {segment}-byte segment, too small for one {request_size}-byte request"
+        ));
+    }
+    Ok(blocks * processes as u64)
+}
+
+impl WorkloadSpec {
+    /// The number of requests the workload generates, computed without
+    /// building it; an error when the workload is malformed or would
+    /// generate no work. A trace replay counts as zero here: its size is
+    /// only known once the file is read.
+    pub fn request_count(&self) -> Result<u64, String> {
+        match self {
+            WorkloadSpec::Ior(c) => {
+                if c.processes == 0 {
+                    return Err("Ior workload needs at least one process".into());
+                }
+                if c.request_size == 0 {
+                    return Err("Ior request_size must be > 0".into());
+                }
+                segment_requests("Ior file", c.file_size, c.processes, c.request_size)
+            }
+            WorkloadSpec::MultiRegionIor(c) => {
+                if c.processes == 0 {
+                    return Err("MultiRegionIor workload needs at least one process".into());
+                }
+                if c.regions.is_empty() {
+                    return Err("MultiRegionIor needs at least one region".into());
+                }
+                if c.regions.iter().any(|&(len, req)| len == 0 || req == 0) {
+                    return Err(
+                        "MultiRegionIor regions need non-zero length and request size".into(),
+                    );
+                }
+                let mut file_size = 0u64;
+                let mut requests = 0u64;
+                for (i, &(len, request_size)) in c.regions.iter().enumerate() {
+                    file_size = file_size.checked_add(len).ok_or_else(|| {
+                        format!("MultiRegionIor region {i} ends past the largest file offset")
+                    })?;
+                    requests += segment_requests(
+                        &format!("MultiRegionIor region {i}"),
+                        len,
+                        c.processes,
+                        request_size,
+                    )?;
+                }
+                Ok(requests)
+            }
+            WorkloadSpec::Btio(c) => {
+                if c.processes == 0 || c.grid == 0 || c.steps == 0 {
+                    return Err("Btio needs non-zero processes, grid and steps".into());
+                }
+                let side = (c.processes as f64).sqrt() as usize;
+                if side * side != c.processes {
+                    return Err(format!(
+                        "Btio needs a square number of processes, got {}",
+                        c.processes
+                    ));
+                }
+                if c.grid < side {
+                    return Err(format!(
+                        "Btio grid {} is too small for a {side}x{side} process grid",
+                        c.grid
+                    ));
+                }
+                if c.write_interval == 0 || c.steps < c.write_interval {
+                    return Err("Btio steps and write_interval give no solution dump".into());
+                }
+                // Every dump is written and read back; each pass is one
+                // request per (z, y) row of every x-block of the grid.
+                let grid = c.grid as u64;
+                let dumps = (c.steps / c.write_interval) as u64;
+                grid.checked_pow(3)
+                    .and_then(|cells| cells.checked_mul(harl_workloads::btio::BYTES_PER_CELL))
+                    .and_then(|dump| dump.checked_mul(dumps))
+                    .ok_or("Btio file size overflows a 64-bit offset")?;
+                Ok(2 * dumps * grid * grid * side as u64)
+            }
+            WorkloadSpec::Phased(c) => {
+                if c.processes == 0 {
+                    return Err("Phased workload needs at least one process".into());
+                }
+                if c.phases.is_empty() {
+                    return Err("Phased workload needs at least one phase".into());
+                }
+                if c.phases.iter().any(|p| p.request_size == 0) {
+                    return Err("Phased phases need non-zero request sizes".into());
+                }
+                let mut requests = 0u64;
+                for (i, p) in c.phases.iter().enumerate() {
+                    if p.offset.checked_add(p.len).is_none() {
+                        return Err(format!(
+                            "Phased phase {i} ends past the largest file offset"
+                        ));
+                    }
+                    let area = format!("Phased phase {i} area");
+                    requests = requests.saturating_add(segment_requests(
+                        &area,
+                        p.len,
+                        c.processes,
+                        p.request_size,
+                    )?);
+                }
+                Ok(requests)
+            }
+            WorkloadSpec::ReplayTrace(path) => {
+                if path.is_empty() {
+                    return Err("ReplayTrace needs a trace file path".into());
+                }
+                Ok(0)
+            }
+        }
+    }
 }
 
 /// The layout policy under test.
@@ -324,52 +467,12 @@ impl Scenario {
                 }
             }
         }
-        match &self.workload {
-            WorkloadSpec::Ior(c) => {
-                if c.processes == 0 {
-                    return Err("Ior workload needs at least one process".into());
-                }
-                if c.request_size == 0 {
-                    return Err("Ior request_size must be > 0".into());
-                }
-                if c.file_size < c.request_size {
-                    return Err("Ior file_size must be >= request_size".into());
-                }
-            }
-            WorkloadSpec::MultiRegionIor(c) => {
-                if c.processes == 0 {
-                    return Err("MultiRegionIor workload needs at least one process".into());
-                }
-                if c.regions.is_empty() {
-                    return Err("MultiRegionIor needs at least one region".into());
-                }
-                if c.regions.iter().any(|&(len, req)| len == 0 || req == 0) {
-                    return Err(
-                        "MultiRegionIor regions need non-zero length and request size".into(),
-                    );
-                }
-            }
-            WorkloadSpec::Btio(c) => {
-                if c.processes == 0 || c.grid == 0 || c.steps == 0 {
-                    return Err("Btio needs non-zero processes, grid and steps".into());
-                }
-            }
-            WorkloadSpec::Phased(c) => {
-                if c.processes == 0 {
-                    return Err("Phased workload needs at least one process".into());
-                }
-                if c.phases.is_empty() {
-                    return Err("Phased workload needs at least one phase".into());
-                }
-                if c.phases.iter().any(|p| p.request_size == 0) {
-                    return Err("Phased phases need non-zero request sizes".into());
-                }
-            }
-            WorkloadSpec::ReplayTrace(path) => {
-                if path.is_empty() {
-                    return Err("ReplayTrace needs a trace file path".into());
-                }
-            }
+        let requests = self.workload.request_count()?;
+        if requests > MAX_WORKLOAD_REQUESTS {
+            return Err(format!(
+                "workload would generate {requests} requests, over the request budget \
+                 of {MAX_WORKLOAD_REQUESTS}"
+            ));
         }
         match self.policy {
             PolicySpec::Fixed(0) => return Err("Fixed policy stripe must be > 0".into()),

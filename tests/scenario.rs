@@ -139,6 +139,63 @@ fn validation_rejects_impossible_scenarios() {
             Scenario::new(WorkloadSpec::ReplayTrace(String::new())),
             "trace file path",
         ),
+        // A region of u64::MAX bytes once passed validation and then
+        // aborted on a petabyte allocation in `build`: it must be refused
+        // by the request budget before anything is built.
+        (
+            Scenario::new(WorkloadSpec::MultiRegionIor(MultiRegionIorConfig {
+                regions: vec![(u64::MAX, 64 * KIB)],
+                processes: 16,
+                op: OpKind::Read,
+                seed: 1,
+            })),
+            "request budget",
+        ),
+        // A region smaller than one request once ran to an exit-0 report
+        // of zero requests.
+        (
+            Scenario::new(WorkloadSpec::MultiRegionIor(MultiRegionIorConfig {
+                regions: vec![(64 * KIB, 64 * MIB)],
+                processes: 16,
+                op: OpKind::Read,
+                seed: 1,
+            })),
+            "region 0",
+        ),
+        // A file whose per-process segment is smaller than one request
+        // once panicked in `IorConfig::build`.
+        (
+            Scenario::new(WorkloadSpec::Ior(IorConfig {
+                processes: 16,
+                request_size: 512 * KIB,
+                file_size: MIB,
+                op: OpKind::Read,
+                order: AccessOrder::Random,
+                seed: 1,
+            })),
+            "too small for one",
+        ),
+        // BTIO shapes that once panicked in `BtioConfig::build` (a
+        // non-square process count, no dump) or gave a rank an empty
+        // block of zero-byte requests.
+        (
+            Scenario::new(WorkloadSpec::Btio(BtioConfig::tiny(8))),
+            "square number of processes",
+        ),
+        (
+            Scenario::new(WorkloadSpec::Btio(BtioConfig {
+                write_interval: 0,
+                ..BtioConfig::tiny(4)
+            })),
+            "no solution dump",
+        ),
+        (
+            Scenario::new(WorkloadSpec::Btio(BtioConfig {
+                grid: 2,
+                ..BtioConfig::tiny(9)
+            })),
+            "too small for a 3x3 process grid",
+        ),
     ];
     for (scenario, needle) in cases {
         let err = scenario.validate().expect_err("must be rejected");
@@ -148,6 +205,55 @@ fn validation_rejects_impossible_scenarios() {
         );
         // `run` must refuse the same way.
         assert!(scenario.run(&SimContext::new()).is_err());
+    }
+}
+
+#[test]
+fn request_count_matches_the_built_workload() {
+    use harl_repro::middleware::LogicalStep;
+    let built = |w: &Workload| -> u64 {
+        w.ranks
+            .iter()
+            .flat_map(|r| &r.steps)
+            .map(|step| match step {
+                LogicalStep::Independent(reqs) | LogicalStep::Collective(reqs) => reqs.len() as u64,
+                LogicalStep::Compute(_) => 0,
+            })
+            .sum()
+    };
+    let mut btio = BtioConfig::tiny(9);
+    btio.grid = 17; // uneven blocks over a 3x3 process grid
+    let mut specs = vec![
+        WorkloadSpec::MultiRegionIor(MultiRegionIorConfig::paper_default(
+            OpKind::Write,
+            1.0 / 64.0,
+        )),
+        WorkloadSpec::Btio(BtioConfig::tiny(4)),
+        WorkloadSpec::Btio(btio),
+        WorkloadSpec::Phased(PhasedConfig {
+            phases: vec![
+                Phase::new(0, 8 * MIB + 5, 256 * KIB, OpKind::Write),
+                Phase::new(4 * MIB, 3 * MIB, 96 * KIB, OpKind::Read),
+            ],
+            processes: 3,
+            seed: 1,
+        }),
+        smoke_scenario().workload,
+    ];
+    for name in ["smoke", "three_tier", "three_tier_harl"] {
+        let path = format!("{}/scenarios/{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let scenario = Scenario::from_path(std::path::Path::new(&path)).expect("committed");
+        specs.push(scenario.workload);
+    }
+    for spec in specs {
+        let scenario = Scenario::new(spec);
+        let workload = scenario.build_workload().expect("builds");
+        assert_eq!(
+            scenario.workload.request_count(),
+            Ok(built(&workload)),
+            "{:?}",
+            scenario.workload
+        );
     }
 }
 
