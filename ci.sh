@@ -83,6 +83,20 @@ fi
 echo "three-tier HARL report matches golden"
 rm -rf "$out"
 
+echo "== wide fan-out scenario golden =="
+# 256 servers, one 64 KiB stripe each: every 16 MiB read fans out to all
+# of them in one batch, the widest disk fan-out any golden exercises.
+out="$(mktemp -d)"
+cargo run --release -q -p harl-bench --bin harl-cli -- \
+    run --scenario scenarios/wide_fanout.json --out "$out/wide_fanout.json"
+if ! diff -u scenarios/wide_fanout.golden.json "$out/wide_fanout.json"; then
+    echo "wide fan-out report diverged from scenarios/wide_fanout.golden.json" >&2
+    echo "(if the change is intentional, regenerate the golden with the command above)" >&2
+    exit 1
+fi
+echo "wide fan-out report matches golden"
+rm -rf "$out"
+
 echo "== multiapp serve scenario golden =="
 out="$(mktemp -d)"
 cargo run --release -q -p harl-bench --bin harl-cli -- \
@@ -107,7 +121,7 @@ echo "== determinism audit (fast tier) =="
 # Re-runs the smoke and multiapp scenarios at 1 and 8 planner threads,
 # hashes every artifact (report JSON + wall-clock-stripped metrics JSONL)
 # and fails on any byte difference across thread budgets or against the
-# committed goldens. The full tier (all four scenarios, threads 1/2/8,
+# committed goldens. The full tier (all five scenarios, threads 1/2/8,
 # two seeds) is `harl-cli audit-determinism` without --fast.
 cargo run --release -q -p harl-bench --bin harl-cli -- \
     audit-determinism --fast

@@ -118,6 +118,8 @@ struct Case {
     kind: CaseKind,
     scenario: &'static str,
     golden: &'static str,
+    /// Also replayed by the fast tier (`--fast`), not only the full one.
+    fast: bool,
 }
 
 const CASES: &[Case] = &[
@@ -126,24 +128,35 @@ const CASES: &[Case] = &[
         kind: CaseKind::Run,
         scenario: "scenarios/smoke.json",
         golden: "scenarios/smoke.golden.json",
+        fast: true,
     },
     Case {
         name: "three_tier",
         kind: CaseKind::Run,
         scenario: "scenarios/three_tier.json",
         golden: "scenarios/three_tier.golden.json",
+        fast: false,
     },
     Case {
         name: "three_tier_harl",
         kind: CaseKind::Run,
         scenario: "scenarios/three_tier_harl.json",
         golden: "scenarios/three_tier_harl.golden.json",
+        fast: false,
     },
     Case {
         name: "multiapp",
         kind: CaseKind::Serve,
         scenario: "scenarios/multiapp.json",
         golden: "scenarios/multiapp.golden.json",
+        fast: true,
+    },
+    Case {
+        name: "wide_fanout",
+        kind: CaseKind::Run,
+        scenario: "scenarios/wide_fanout.json",
+        golden: "scenarios/wide_fanout.golden.json",
+        fast: false,
     },
 ];
 
@@ -305,7 +318,7 @@ fn audit_row(
 /// Run the determinism audit from `root` (the repo checkout holding
 /// `scenarios/`).
 ///
-/// The full tier replays all four pinned scenarios at thread budgets
+/// The full tier replays all five pinned scenarios at thread budgets
 /// {1, 2, 8} under the scenario's own seed and [`ALT_SEED`]; the fast
 /// tier (`--fast`, the ci.sh stage) trims to the smoke and multiapp
 /// scenarios at budgets {1, 8} under the default seed only.
@@ -318,7 +331,7 @@ pub fn run_audit(root: &Path, fast: bool) -> AuditReport {
     };
     let mut report = AuditReport::default();
     for case in CASES {
-        if fast && case.name.starts_with("three_tier") {
+        if fast && !case.fast {
             continue;
         }
         for &seed in seeds {

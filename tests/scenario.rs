@@ -284,6 +284,23 @@ fn golden_determinism_across_runs_and_thread_budgets() {
 }
 
 #[test]
+fn wide_fanout_matches_committed_golden() {
+    // 256 servers at one 64 KiB stripe each: every 16 MiB read fans out
+    // to the whole cluster in one batch. The golden pins those bytes.
+    let dir = format!("{}/scenarios", env!("CARGO_MANIFEST_DIR"));
+    let scenario = Scenario::from_path(std::path::Path::new(&format!("{dir}/wide_fanout.json")))
+        .expect("committed scenario loads");
+    let golden = std::fs::read_to_string(format!("{dir}/wide_fanout.golden.json"))
+        .expect("committed golden reads");
+    let json = scenario
+        .run(&SimContext::new())
+        .expect("scenario runs")
+        .to_json_pretty()
+        + "\n";
+    assert_eq!(json, golden, "wide fan-out report diverged from its golden");
+}
+
+#[test]
 fn context_base_overrides_win() {
     let scenario = smoke_scenario().with_threads(8); // scenario says 8 threads, seed 7
     let base = SimContext::new().with_seed(99).with_threads(2);
