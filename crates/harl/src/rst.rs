@@ -132,9 +132,11 @@ impl RegionStripeTable {
     /// Panics if entries are empty, unsorted, overlapping, gapped, not
     /// starting at 0, or any entry has all-zero widths, zero length, or a
     /// class count differing from row 0's.
-    // Documented-precondition panic, allowlisted in lint.allow.toml:
-    // fallible callers (tables read from disk) use try_new/load_from_path.
-    #[allow(clippy::panic)]
+    #[expect(
+        clippy::panic,
+        reason = "RegionStripeTable::new documents its panic on invalid tilings (# Panics); \
+                  fallible callers use try_new/load_from_path, which return LoadError"
+    )]
     pub fn new(entries: Vec<RstEntry>) -> Self {
         Self::try_new(entries).unwrap_or_else(|reason| panic!("{reason}"))
     }
@@ -220,8 +222,11 @@ impl RegionStripeTable {
     /// # Panics
     /// Panics if the new widths are all zero or change the class count —
     /// the same invariants [`try_new`](Self::try_new) enforces.
-    // Documented-precondition panic, same contract as new().
-    #[allow(clippy::panic)]
+    #[expect(
+        clippy::panic,
+        reason = "set_region_widths documents its panics on zero-capacity rows and class-count \
+                  changes (# Panics); fallible table construction goes through try_new"
+    )]
     pub fn set_region_widths(&mut self, region: usize, widths: Vec<u64>) {
         if widths.iter().all(|&w| w == 0) {
             panic!("RST region at row {region} would have no capacity");

@@ -11,8 +11,6 @@ use crate::Finding;
 
 /// Rule names, used in findings and in `lint.allow.toml` entries.
 pub const RULE_DETERMINISM: &str = "determinism";
-/// See [`panic_hygiene`].
-pub const RULE_PANIC: &str = "panic-hygiene";
 /// See [`cast_hygiene`].
 pub const RULE_CAST: &str = "cast-hygiene";
 /// See [`float_eq`].
@@ -40,7 +38,8 @@ pub const RULE_STALE_ALLOW: &str = "stale-allow";
 pub fn rule_doc(rule: &str) -> (&'static str, &'static str) {
     match rule {
         RULE_DETERMINISM => ("HL001", "DESIGN.md#rules-and-scopes"),
-        RULE_PANIC => ("HL002", "DESIGN.md#rules-and-scopes"),
+        // HL002 (panic-hygiene) was retired to the library crates'
+        // clippy deny list; its id stays unused.
         RULE_CAST => ("HL003", "DESIGN.md#rules-and-scopes"),
         RULE_FLOAT_EQ => ("HL004", "DESIGN.md#rules-and-scopes"),
         RULE_SIMCONTEXT => ("HL005", "DESIGN.md#rules-and-scopes"),
@@ -144,62 +143,6 @@ pub fn determinism(
                     "environment lookup in simulated-time code; thread configuration through \
                      the Scenario instead"
                         .to_string(),
-                    lines,
-                );
-            }
-            _ => {}
-        }
-    }
-}
-
-/// **panic-hygiene** — no `.unwrap()`, `.expect(…)`, `panic!`, `todo!`,
-/// `unimplemented!`, or `unreachable!` in library code outside
-/// `#[cfg(test)]`. `assert!`/`debug_assert!` are fine: stating an
-/// invariant is different from silently converting an `Option`/`Result`
-/// into a crash.
-pub fn panic_hygiene(
-    path: &str,
-    toks: &[Tok],
-    mask: &[bool],
-    lines: &[&str],
-    out: &mut Vec<Finding>,
-) {
-    for (i, t) in toks.iter().enumerate() {
-        if mask[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        let next = toks.get(i + 1).map(|n| n.text.as_str());
-        match t.text.as_str() {
-            "unwrap" | "expect"
-                if next == Some("(")
-                    && i > 0
-                    && toks[i - 1].text == "."
-                    && toks[i - 1].kind == TokKind::Punct =>
-            {
-                push(
-                    out,
-                    RULE_PANIC,
-                    path,
-                    t.line,
-                    format!(
-                        "`.{}()` in library code; return a typed error (LoadError) or restructure \
-                         so the failure case cannot exist",
-                        t.text
-                    ),
-                    lines,
-                );
-            }
-            "panic" | "todo" | "unimplemented" | "unreachable" if next == Some("!") => {
-                push(
-                    out,
-                    RULE_PANIC,
-                    path,
-                    t.line,
-                    format!(
-                        "`{}!` in library code; only documented-precondition sites may keep it, \
-                         via lint.allow.toml",
-                        t.text
-                    ),
                     lines,
                 );
             }

@@ -1,5 +1,5 @@
-// HL010 counter-examples: canonical-order merges. The indexed-store
-// consumer (the pfs/shard.rs shape), a sort immediately after the drain
+// HL010 counter-examples: canonical-order merges. An indexed-store
+// consumer, a sort immediately after the drain
 // loop (the middleware/serve.rs shape), a spawned worker with a private
 // buffer and no lock, and a recv loop whose only appends live in a
 // *different* (earlier) loop — innermost-loop attribution must not blame

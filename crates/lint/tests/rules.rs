@@ -27,8 +27,8 @@ fn count(rules: &[String], rule: &str) -> usize {
     rules.iter().filter(|r| *r == rule).count()
 }
 
-// A path inside the determinism + panic scopes but not the cost-model
-// files, and one inside the cost-model scope.
+// A path inside the determinism scope but not the cost-model files, and
+// one inside the cost-model scope.
 const LIB_PATH: &str = "crates/middleware/src/fixture.rs";
 const MODEL_PATH: &str = "crates/harl/src/model.rs";
 
@@ -50,18 +50,6 @@ fn determinism_is_scoped_to_simulated_time_code() {
     // The same trigger snippet in the bench harness is out of scope.
     let rules = rules_at("crates/bench/src/fixture.rs", "determinism_fire.rs");
     assert_eq!(count(&rules, "determinism"), 0, "{rules:?}");
-}
-
-#[test]
-fn panic_hygiene_fires() {
-    let rules = rules_at(LIB_PATH, "panic_fire.rs");
-    assert_eq!(count(&rules, "panic-hygiene"), 3, "{rules:?}");
-}
-
-#[test]
-fn panic_hygiene_stays_quiet() {
-    let rules = rules_at(LIB_PATH, "panic_quiet.rs");
-    assert_eq!(count(&rules, "panic-hygiene"), 0, "{rules:?}");
 }
 
 #[test]

@@ -174,10 +174,12 @@ impl ClusterConfig {
     ///
     /// # Panics
     /// Panics if `id` is out of range.
-    // Documented-precondition panic, allowlisted in lint.allow.toml: ids
-    // come from layouts built against this cluster, and an Option return
-    // would push unwraps into the simulator's per-request hot path.
-    #[allow(clippy::panic)]
+    #[expect(
+        clippy::panic,
+        reason = "profile_of documents its panic on out-of-range server ids (# Panics); ids \
+                  come from layouts built against the same cluster, so the hot path stays \
+                  Option-free"
+    )]
     pub fn profile_of(&self, id: ServerId) -> &StorageProfile {
         let mut base = 0;
         for class in &self.classes {

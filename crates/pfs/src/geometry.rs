@@ -34,7 +34,11 @@ impl GroupLayout {
     /// arriving from outside the process (scenario files, tables loaded
     /// from disk) should go through [`Self::try_new`] instead.
     pub fn new(widths: Vec<u64>) -> Self {
-        #[allow(clippy::panic)]
+        #[expect(
+            clippy::panic,
+            reason = "GroupLayout::new documents its panic (# Panics) and delegates validation \
+                      to try_new; fallible callers (scenario/disk loads) use try_new directly"
+        )]
         match Self::try_new(widths) {
             Ok(l) => l,
             Err(reason) => panic!("{reason}"),

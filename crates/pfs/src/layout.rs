@@ -35,7 +35,11 @@ impl FileLayout {
     /// arriving from outside the process should go through
     /// [`Self::try_custom`].
     pub fn custom(pairs: Vec<(ServerId, u64)>) -> Self {
-        #[allow(clippy::panic)]
+        #[expect(
+            clippy::panic,
+            reason = "FileLayout::{new,custom} document their panics (# Panics) and delegate \
+                      validation to try_new/try_custom; fallible callers use the try_ variants"
+        )]
         match Self::try_custom(pairs) {
             Ok(l) => l,
             Err(reason) => panic!("{reason}"),

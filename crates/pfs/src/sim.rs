@@ -21,16 +21,88 @@
 //! authors' real cluster.
 
 use crate::cluster::ClusterConfig;
+use crate::faults::{slowdown_at, Degradation};
 use crate::layout::FileLayout;
-use crate::report::{ServerReport, SimReport};
+use crate::report::{BusyBuckets, ServerReport, SimReport};
 use crate::request::{ClientProgram, FileId, Step};
-use crate::shard::{self, FanoutEnv, ServerDisk, ShardPool};
 use harl_devices::OpKind;
 use harl_simcore::metrics::{SpanHop, SpanRecord};
 use harl_simcore::timeline::Grant;
-use harl_simcore::{registry, Engine, OnlineStats, Phase, SimContext, SimNanos, Timeline};
-use std::sync::Arc;
-use std::sync::Mutex;
+use harl_simcore::{
+    registry, Engine, Histogram, OnlineStats, Phase, SimContext, SimNanos, SimRng, Timeline,
+};
+
+/// Width of the per-server utilisation buckets in reports.
+const BUSY_BUCKET_WIDTH: SimNanos = SimNanos(100_000_000); // 100 ms
+/// Bucket count (the last bucket absorbs longer runs).
+const BUSY_BUCKETS: usize = 1024;
+
+/// Disk-side state of one server: its device queue, its service-time RNG
+/// stream and its per-server statistics.
+struct ServerDisk {
+    disk: Timeline,
+    rng: SimRng,
+    bytes: u64,
+    busy_series: BusyBuckets,
+    /// Local queue-wait/service histograms, merged into the recorder once
+    /// at the end of the run. Recording into a local [`Histogram`] is
+    /// alloc- and lock-free, which keeps the recorded hot path within a
+    /// few percent of the silent one.
+    queue_wait: Histogram,
+    service: Histogram,
+}
+
+impl ServerDisk {
+    fn new(id: usize, seed: u64) -> Self {
+        ServerDisk {
+            disk: Timeline::new(),
+            rng: SimRng::derived(seed, &format!("server-{id}")),
+            bytes: 0,
+            busy_series: BusyBuckets::new(BUSY_BUCKET_WIDTH, BUSY_BUCKETS),
+            queue_wait: Histogram::new(),
+            service: Histogram::new(),
+        }
+    }
+}
+
+/// Read-only context for serving a sub-request at a disk.
+struct DiskEnv<'a> {
+    cluster: &'a ClusterConfig,
+    degradations: &'a [Degradation],
+    rec_on: bool,
+}
+
+/// Serve one sub-request at one server's disk: service-time draw, fault
+/// slowdown, FIFO booking, and per-server accounting. It touches only
+/// `d`, so the grants follow from each server's own sub-request order.
+#[inline]
+fn disk_acquire(
+    d: &mut ServerDisk,
+    env: &DiskEnv<'_>,
+    server: usize,
+    now: SimNanos,
+    z: u64,
+    op: OpKind,
+) -> Grant {
+    let mut service = env
+        .cluster
+        .profile_of(server)
+        .service_time(op, z, &mut d.rng);
+    // Injected stragglers/degradation windows (crate::faults), from the
+    // cluster schedule and the context's fault plan.
+    let slow = slowdown_at(env.degradations, server, now);
+    if slow != 1.0 {
+        service = SimNanos::from_secs_f64(service.as_secs_f64() * slow);
+    }
+    let grant = d.disk.acquire(now, service);
+    d.bytes += z;
+    d.busy_series.record(grant.start, grant.end);
+    if env.rec_on {
+        d.queue_wait.record(grant.queued.as_nanos());
+        d.service.record((grant.end - grant.start).as_nanos());
+    }
+    grant
+}
 
 /// Everything a payload event needs to move one sub-request through the
 /// pipeline without touching the request table: the owning request, the
@@ -57,8 +129,8 @@ enum Ev {
     /// Read request messages reached every server: serve the whole batch
     /// of disk arrivals in one pass. All sub-requests of a read arrive at
     /// the same instant (`mds grant + latency`), so one batched event is
-    /// observationally identical to the per-sub events it replaces — and
-    /// it is the unit of sharded parallelism (see [`crate::shard`]).
+    /// observationally identical to the per-sub events it replaces, and
+    /// it saves one engine dispatch per sub-request.
     DiskFanout { req: u32 },
     /// Write payload for one sub-request reached the server's NIC queue.
     ArriveServerNic(SubRef),
@@ -113,9 +185,9 @@ struct ReqState {
     size: u64,
     file: FileId,
     offset: u64,
-    /// Shared so a fanout batch can be shipped to shard workers without
-    /// borrowing the request table.
-    subs: Arc<[(usize, u64)]>,
+    /// A read's per-server sub-requests, held from the MDS lookup until
+    /// its disk fan-out and empty otherwise.
+    subs: Vec<(usize, u64)>,
     pending: usize,
     issued: SimNanos,
     /// Lifecycle hops, collected only when a recorder is enabled.
@@ -157,7 +229,7 @@ struct ClientState {
 ///   state but never change it, so makespans and reports are identical
 ///   with sampling on or off, and the sampled values are a pure function
 ///   of the scenario and seed — same seed + interval ⇒ byte-identical
-///   series at any thread count.
+///   series.
 /// * **Profiling** — with `ctx.profiler()` attached, the run is driven by
 ///   [`Engine::run_profiled`] and each handler bills its wall time to a
 ///   [`Phase`] bucket (recorder work is carved out into its own bucket by
@@ -177,37 +249,22 @@ pub fn simulate(
     let rec_hops = rec_on && recorder.wants_hops();
     let prof = ctx.profiler();
     let seed = ctx.seed_or(cluster.seed);
-    let degradations: Vec<crate::faults::Degradation> = cluster
+    let degradations: Vec<Degradation> = cluster
         .degradations
         .iter()
         .chain(ctx.faults.iter())
         .copied()
         .collect();
     let n_servers = cluster.server_count();
-    // Disk-side server state is sharded into contiguous groups so read
-    // fanouts can run per group — on scoped workers when `ctx.threads`
-    // asks for them, inline otherwise. With one thread there is exactly
-    // one group and the Mutex is uncontended ceremony.
-    let threads = ctx.threads_or(1);
-    let group_size = n_servers.div_ceil(threads.min(n_servers)).max(1);
-    let n_groups = n_servers.div_ceil(group_size);
-    let disk_groups: Vec<Mutex<Vec<ServerDisk>>> = (0..n_groups)
-        .map(|g| {
-            let lo = g * group_size;
-            let hi = ((g + 1) * group_size).min(n_servers);
-            Mutex::new((lo..hi).map(|id| ServerDisk::new(id, seed)).collect())
-        })
-        .collect();
+    let mut disks: Vec<ServerDisk> = (0..n_servers).map(|id| ServerDisk::new(id, seed)).collect();
     let mut server_nics: Vec<Timeline> = (0..n_servers).map(|_| Timeline::new()).collect();
     let mut client_nics: Vec<Timeline> = (0..cluster.compute_nodes)
         .map(|_| Timeline::new())
         .collect();
     let mut mds = Timeline::new();
-    let env = FanoutEnv {
-        disks: &disk_groups,
+    let env = DiskEnv {
         cluster,
         degradations: &degradations,
-        group_size,
         rec_on,
     };
 
@@ -264,212 +321,152 @@ pub fn simulate(
         engine.schedule(dt, Ev::Sample);
     }
 
-    // Hot-path scratch shared across events: the fanout grant buffer, the
-    // one-entry NIC service memo, and the empty-subs sentinel.
-    let mut fan_grants: Vec<Grant> = Vec::new();
+    // One-entry NIC service memo shared across events.
     let mut nic_memo: (u64, SimNanos) = (u64::MAX, SimNanos::ZERO);
-    let empty_subs: Arc<[(usize, u64)]> = Vec::new().into();
 
-    // The engine run is wrapped in a closure so the sharded variant can
-    // drive the exact same handler inside a `std::thread::scope` with a
-    // worker pool attached. The handler never branches on thread count
-    // except to pick who *executes* a fanout group — see `crate::shard`
-    // for why the results are bit-identical either way.
-    let mut run_engine = |engine: &mut Engine<Ev>, pool: &mut Option<ShardPool>| {
-        let handler = |sched: &mut harl_simcore::Scheduler<Ev>, now: SimNanos, ev: Ev| {
-            let _phase = prof.map(|p| p.scope(phase_of(&ev)));
-            match ev {
-                Ev::StartStep { client } => {
-                    let ci = client as usize;
-                    let state = &mut clients[ci];
-                    match programs[ci].steps.get(state.next_step) {
-                        None => {
-                            state.finished_at = now;
+    let handler = |sched: &mut harl_simcore::Scheduler<Ev>, now: SimNanos, ev: Ev| {
+        let _phase = prof.map(|p| p.scope(phase_of(&ev)));
+        match ev {
+            Ev::StartStep { client } => {
+                let ci = client as usize;
+                let state = &mut clients[ci];
+                match programs[ci].steps.get(state.next_step) {
+                    None => {
+                        state.finished_at = now;
+                    }
+                    Some(Step::Compute(d)) => {
+                        state.next_step += 1;
+                        sched.schedule(now + *d, Ev::ComputeDone { client });
+                    }
+                    Some(Step::Barrier) => {
+                        state.next_step += 1;
+                        let gen = client_barrier_gen[ci];
+                        client_barrier_gen[ci] += 1;
+                        if barrier_waiting.len() <= gen {
+                            barrier_waiting.resize_with(gen + 1, Vec::new);
                         }
-                        Some(Step::Compute(d)) => {
-                            state.next_step += 1;
-                            sched.schedule(now + *d, Ev::ComputeDone { client });
-                        }
-                        Some(Step::Barrier) => {
-                            state.next_step += 1;
-                            let gen = client_barrier_gen[ci];
-                            client_barrier_gen[ci] += 1;
-                            if barrier_waiting.len() <= gen {
-                                barrier_waiting.resize_with(gen + 1, Vec::new);
-                            }
-                            barrier_waiting[gen].push(ci);
-                            if barrier_waiting[gen].len() == total_clients {
-                                // Last arrival releases everyone.
-                                for c in barrier_waiting[gen].drain(..) {
-                                    sched.schedule(now, Ev::StartStep { client: c as u32 });
-                                }
-                            }
-                        }
-                        Some(Step::Io(batch)) => {
-                            state.next_step += 1;
-                            state.batch_pending = batch.len();
-                            for pr in batch {
-                                assert!(
-                                    pr.file < files.len(),
-                                    "request targets unknown file {}",
-                                    pr.file
-                                );
-                                let req = reqs.len() as u32;
-                                reqs.push(ReqState {
-                                    client: ci,
-                                    op: pr.op,
-                                    size: pr.size,
-                                    file: pr.file,
-                                    offset: pr.offset,
-                                    subs: empty_subs.clone(),
-                                    pending: 0,
-                                    issued: now,
-                                    hops: Vec::new(),
-                                });
-                                let grant = mds.acquire(now, cluster.mds_service);
-                                if rec_on {
-                                    let _rec = prof.map(|p| p.scope(Phase::Recorder));
-                                    issued_by_op[op_index(pr.op)] += 1;
-                                    if rec_hops {
-                                        reqs[req as usize].hops.push(SpanHop {
-                                            stage: "mds",
-                                            server: None,
-                                            arrive: now.as_nanos(),
-                                            start: grant.start.as_nanos(),
-                                            end: grant.end.as_nanos(),
-                                        });
-                                    }
-                                }
-                                sched.schedule(grant.end, Ev::MdsDone { req });
+                        barrier_waiting[gen].push(ci);
+                        if barrier_waiting[gen].len() == total_clients {
+                            // Last arrival releases everyone.
+                            for c in barrier_waiting[gen].drain(..) {
+                                sched.schedule(now, Ev::StartStep { client: c as u32 });
                             }
                         }
                     }
-                }
-                Ev::ComputeDone { client } => {
-                    sched.schedule(now, Ev::StartStep { client });
-                }
-                Ev::MdsDone { req } => {
-                    let ri = req as usize;
-                    let (file, offset, size, op, client) = {
-                        let r = &reqs[ri];
-                        (r.file, r.offset, r.size, r.op, r.client)
-                    };
-                    let subs: Arc<[(usize, u64)]> = if size == 0 {
-                        empty_subs.clone()
-                    } else {
-                        files[file].split(offset, size).into()
-                    };
-                    if subs.is_empty() {
-                        // Zero-byte request: completes at the MDS.
-                        reqs[ri].pending = 0;
-                        sched.schedule(now, Ev::SubDone { req });
-                        return;
-                    }
-                    reqs[ri].pending = subs.len();
-                    let node = cluster.node_of(client) as u32;
-                    match op {
-                        OpKind::Write => {
-                            // Payload leaves through the client NIC, serialised
-                            // with the client's other outbound sub-requests.
-                            for &(server, z) in subs.iter() {
-                                let service =
-                                    nic_service(net.t_s_per_byte, &mut nic_memo, z) + latency;
-                                let grant = client_nics[node as usize].acquire(now, service);
+                    Some(Step::Io(batch)) => {
+                        state.next_step += 1;
+                        state.batch_pending = batch.len();
+                        for pr in batch {
+                            assert!(
+                                pr.file < files.len(),
+                                "request targets unknown file {}",
+                                pr.file
+                            );
+                            let req = reqs.len() as u32;
+                            reqs.push(ReqState {
+                                client: ci,
+                                op: pr.op,
+                                size: pr.size,
+                                file: pr.file,
+                                offset: pr.offset,
+                                subs: Vec::new(),
+                                pending: 0,
+                                issued: now,
+                                hops: Vec::new(),
+                            });
+                            let grant = mds.acquire(now, cluster.mds_service);
+                            if rec_on {
+                                let _rec = prof.map(|p| p.scope(Phase::Recorder));
+                                issued_by_op[op_index(pr.op)] += 1;
                                 if rec_hops {
-                                    reqs[ri].hops.push(SpanHop {
-                                        stage: "client_nic",
+                                    reqs[req as usize].hops.push(SpanHop {
+                                        stage: "mds",
                                         server: None,
                                         arrive: now.as_nanos(),
                                         start: grant.start.as_nanos(),
                                         end: grant.end.as_nanos(),
                                     });
                                 }
-                                sched.schedule(
-                                    grant.end,
-                                    Ev::ArriveServerNic(SubRef {
-                                        req,
-                                        server: server as u32,
-                                        node,
-                                        z,
-                                        op,
-                                    }),
-                                );
                             }
-                        }
-                        OpKind::Read => {
-                            // The read request messages are tiny (latency
-                            // only) and reach every server at the same
-                            // instant: one batched fanout event.
-                            sched.schedule(now + latency, Ev::DiskFanout { req });
+                            sched.schedule(grant.end, Ev::MdsDone { req });
                         }
                     }
-                    reqs[ri].subs = subs;
                 }
-                Ev::DiskFanout { req } => {
-                    let ri = req as usize;
-                    let (subs, op, node) = {
-                        let r = &reqs[ri];
-                        (r.subs.clone(), r.op, cluster.node_of(r.client) as u32)
-                    };
-                    // Serve every disk arrival of this request in one pass
-                    // (sharded across the pool when one is attached), then
-                    // apply the cross-server effects in sub order.
-                    shard::fanout_grants(pool.as_mut(), &env, now, op, &subs, &mut fan_grants);
-                    for (i, &(server, z)) in subs.iter().enumerate() {
-                        let grant = fan_grants[i];
-                        if sampling {
-                            inflight_subs[server] += 1;
-                            inflight_bytes[server] += z;
+            }
+            Ev::ComputeDone { client } => {
+                sched.schedule(now, Ev::StartStep { client });
+            }
+            Ev::MdsDone { req } => {
+                let ri = req as usize;
+                let (file, offset, size, op, client) = {
+                    let r = &reqs[ri];
+                    (r.file, r.offset, r.size, r.op, r.client)
+                };
+                let subs = if size == 0 {
+                    Vec::new()
+                } else {
+                    files[file].split(offset, size)
+                };
+                if subs.is_empty() {
+                    // Zero-byte request: completes at the MDS.
+                    reqs[ri].pending = 0;
+                    sched.schedule(now, Ev::SubDone { req });
+                    return;
+                }
+                reqs[ri].pending = subs.len();
+                let node = cluster.node_of(client) as u32;
+                match op {
+                    OpKind::Write => {
+                        // Payload leaves through the client NIC, serialised
+                        // with the client's other outbound sub-requests.
+                        for &(server, z) in subs.iter() {
+                            let service = nic_service(net.t_s_per_byte, &mut nic_memo, z) + latency;
+                            let grant = client_nics[node as usize].acquire(now, service);
+                            if rec_hops {
+                                reqs[ri].hops.push(SpanHop {
+                                    stage: "client_nic",
+                                    server: None,
+                                    arrive: now.as_nanos(),
+                                    start: grant.start.as_nanos(),
+                                    end: grant.end.as_nanos(),
+                                });
+                            }
+                            sched.schedule(
+                                grant.end,
+                                Ev::ArriveServerNic(SubRef {
+                                    req,
+                                    server: server as u32,
+                                    node,
+                                    z,
+                                    op,
+                                }),
+                            );
                         }
-                        if rec_hops {
-                            reqs[ri].hops.push(SpanHop {
-                                stage: "disk",
-                                server: Some(server),
-                                arrive: now.as_nanos(),
-                                start: grant.start.as_nanos(),
-                                end: grant.end.as_nanos(),
-                            });
-                        }
-                        sched.schedule(
-                            grant.end,
-                            Ev::DiskDone(SubRef {
-                                req,
-                                server: server as u32,
-                                node,
-                                z,
-                                op,
-                            }),
-                        );
+                    }
+                    OpKind::Read => {
+                        // The read request messages are tiny (latency
+                        // only) and reach every server at the same
+                        // instant: one batched fanout event.
+                        sched.schedule(now + latency, Ev::DiskFanout { req });
+                        reqs[ri].subs = subs;
                     }
                 }
-                Ev::ArriveServerNic(sr) => {
-                    let service = nic_service(net.t_s_per_byte, &mut nic_memo, sr.z);
-                    let grant = server_nics[sr.server as usize].acquire(now, service);
-                    if rec_hops {
-                        reqs[sr.req as usize].hops.push(SpanHop {
-                            stage: "server_nic",
-                            server: Some(sr.server as usize),
-                            arrive: now.as_nanos(),
-                            start: grant.start.as_nanos(),
-                            end: grant.end.as_nanos(),
-                        });
-                    }
-                    sched.schedule(grant.end, Ev::ArriveDisk(sr));
-                }
-                Ev::ArriveDisk(sr) => {
-                    let server = sr.server as usize;
-                    let g = server / group_size;
-                    let grant = {
-                        let mut guard = shard::lock_group(&disk_groups[g]);
-                        let d = &mut guard[server - g * group_size];
-                        shard::disk_acquire(d, &env, server, now, sr.z, sr.op)
-                    };
+            }
+            Ev::DiskFanout { req } => {
+                let ri = req as usize;
+                let subs = std::mem::take(&mut reqs[ri].subs);
+                let (op, node) = (reqs[ri].op, cluster.node_of(reqs[ri].client) as u32);
+                // Serve every disk arrival of this request in one pass,
+                // in sub order: each server draws and books its own
+                // sub-requests in the order the layout split them.
+                for &(server, z) in &subs {
+                    let grant = disk_acquire(&mut disks[server], &env, server, now, z, op);
                     if sampling {
                         inflight_subs[server] += 1;
-                        inflight_bytes[server] += sr.z;
+                        inflight_bytes[server] += z;
                     }
                     if rec_hops {
-                        reqs[sr.req as usize].hops.push(SpanHop {
+                        reqs[ri].hops.push(SpanHop {
                             stage: "disk",
                             server: Some(server),
                             arrive: now.as_nanos(),
@@ -477,177 +474,201 @@ pub fn simulate(
                             end: grant.end.as_nanos(),
                         });
                     }
-                    sched.schedule(grant.end, Ev::DiskDone(sr));
+                    sched.schedule(
+                        grant.end,
+                        Ev::DiskDone(SubRef {
+                            req,
+                            server: server as u32,
+                            node,
+                            z,
+                            op,
+                        }),
+                    );
                 }
-                Ev::DiskDone(sr) => {
-                    let server = sr.server as usize;
-                    if sampling {
-                        inflight_subs[server] -= 1;
-                        inflight_bytes[server] -= sr.z;
-                    }
-                    match sr.op {
-                        OpKind::Write => {
-                            // Acknowledgement back to the client: latency only.
-                            sched.schedule(now + latency, Ev::SubDone { req: sr.req });
-                        }
-                        OpKind::Read => {
-                            let service = nic_service(net.t_s_per_byte, &mut nic_memo, sr.z);
-                            let grant = server_nics[server].acquire(now, service);
-                            if rec_hops {
-                                reqs[sr.req as usize].hops.push(SpanHop {
-                                    stage: "server_nic",
-                                    server: Some(server),
-                                    arrive: now.as_nanos(),
-                                    start: grant.start.as_nanos(),
-                                    end: grant.end.as_nanos(),
-                                });
-                            }
-                            sched.schedule(grant.end + latency, Ev::ReturnAtClient(sr));
-                        }
-                    }
+            }
+            Ev::ArriveServerNic(sr) => {
+                let service = nic_service(net.t_s_per_byte, &mut nic_memo, sr.z);
+                let grant = server_nics[sr.server as usize].acquire(now, service);
+                if rec_hops {
+                    reqs[sr.req as usize].hops.push(SpanHop {
+                        stage: "server_nic",
+                        server: Some(sr.server as usize),
+                        arrive: now.as_nanos(),
+                        start: grant.start.as_nanos(),
+                        end: grant.end.as_nanos(),
+                    });
                 }
-                Ev::ReturnAtClient(sr) => {
-                    let service = nic_service(net.t_s_per_byte, &mut nic_memo, sr.z);
-                    let grant = client_nics[sr.node as usize].acquire(now, service);
-                    if rec_hops {
-                        reqs[sr.req as usize].hops.push(SpanHop {
-                            stage: "client_nic",
-                            server: None,
-                            arrive: now.as_nanos(),
-                            start: grant.start.as_nanos(),
-                            end: grant.end.as_nanos(),
-                        });
-                    }
-                    sched.schedule(grant.end, Ev::SubDone { req: sr.req });
+                sched.schedule(grant.end, Ev::ArriveDisk(sr));
+            }
+            Ev::ArriveDisk(sr) => {
+                let server = sr.server as usize;
+                let grant = disk_acquire(&mut disks[server], &env, server, now, sr.z, sr.op);
+                if sampling {
+                    inflight_subs[server] += 1;
+                    inflight_bytes[server] += sr.z;
                 }
-                Ev::SubDone { req } => {
-                    let ri = req as usize;
-                    let done = {
-                        let r = &mut reqs[ri];
-                        r.pending = r.pending.saturating_sub(1);
-                        r.pending == 0
-                    };
-                    if done {
-                        if rec_on {
-                            let _rec = prof.map(|p| p.scope(Phase::Recorder));
-                            completed_by_op[op_index(reqs[ri].op)] += 1;
-                        }
-                        if rec_spans {
-                            let _rec = prof.map(|p| p.scope(Phase::Recorder));
-                            let hops = std::mem::take(&mut reqs[ri].hops);
-                            let r = &reqs[ri];
-                            recorder.span(SpanRecord {
-                                id: req as u64,
-                                kind: "request",
-                                labels: vec![
-                                    ("client", r.client.to_string()),
-                                    ("op", r.op.to_string()),
-                                    ("file", r.file.to_string()),
-                                    ("size", r.size.to_string()),
-                                    ("offset", r.offset.to_string()),
-                                ],
-                                issued: r.issued.as_nanos(),
-                                completed: now.as_nanos(),
-                                hops,
+                if rec_hops {
+                    reqs[sr.req as usize].hops.push(SpanHop {
+                        stage: "disk",
+                        server: Some(server),
+                        arrive: now.as_nanos(),
+                        start: grant.start.as_nanos(),
+                        end: grant.end.as_nanos(),
+                    });
+                }
+                sched.schedule(grant.end, Ev::DiskDone(sr));
+            }
+            Ev::DiskDone(sr) => {
+                let server = sr.server as usize;
+                if sampling {
+                    inflight_subs[server] -= 1;
+                    inflight_bytes[server] -= sr.z;
+                }
+                match sr.op {
+                    OpKind::Write => {
+                        // Acknowledgement back to the client: latency only.
+                        sched.schedule(now + latency, Ev::SubDone { req: sr.req });
+                    }
+                    OpKind::Read => {
+                        let service = nic_service(net.t_s_per_byte, &mut nic_memo, sr.z);
+                        let grant = server_nics[server].acquire(now, service);
+                        if rec_hops {
+                            reqs[sr.req as usize].hops.push(SpanHop {
+                                stage: "server_nic",
+                                server: Some(server),
+                                arrive: now.as_nanos(),
+                                start: grant.start.as_nanos(),
+                                end: grant.end.as_nanos(),
                             });
                         }
-                        let r = &reqs[ri];
-                        let lat = (now - r.issued).as_secs_f64();
-                        match r.op {
-                            OpKind::Read => {
-                                read_latency.push(lat);
-                                bytes_read += r.size;
-                            }
-                            OpKind::Write => {
-                                write_latency.push(lat);
-                                bytes_written += r.size;
-                            }
-                        }
-                        completed += 1;
-                        last_completion = last_completion.max(now);
-                        let client = r.client;
-                        let c = &mut clients[client];
-                        c.batch_pending -= 1;
-                        if c.batch_pending == 0 {
-                            sched.schedule(
-                                now,
-                                Ev::StartStep {
-                                    client: client as u32,
-                                },
-                            );
-                        }
-                    }
-                }
-                Ev::Sample => {
-                    // Read-only: sampling must not perturb the simulation. The
-                    // tick re-arms itself only while real work remains queued, so
-                    // it never extends the run past the last completion.
-                    let window = now - last_sample;
-                    let mut id = 0usize;
-                    for m in disk_groups.iter() {
-                        let ds = shard::lock_group(m);
-                        for s in ds.iter() {
-                            let labels = [
-                                ("server", id.to_string()),
-                                ("kind", cluster.profile_of(id).kind.to_string()),
-                            ];
-                            let next_free = s.disk.next_free();
-                            let booked = s.disk.busy_time();
-                            let busy_to_now = if next_free > now {
-                                booked - (next_free - now)
-                            } else {
-                                booked
-                            };
-                            let window_busy = busy_to_now - prev_busy[id];
-                            prev_busy[id] = busy_to_now;
-                            let util = if window.is_zero() {
-                                0.0
-                            } else {
-                                window_busy.as_nanos() as f64 / window.as_nanos() as f64
-                            };
-                            let t = now.as_nanos();
-                            recorder.series_point(
-                                registry::PFS_SERVER_QUEUE_DEPTH.name,
-                                &labels,
-                                t,
-                                inflight_subs[id] as f64,
-                            );
-                            recorder.series_point(registry::PFS_SERVER_UTIL.name, &labels, t, util);
-                            recorder.series_point(
-                                registry::PFS_SERVER_INFLIGHT_BYTES.name,
-                                &labels,
-                                t,
-                                inflight_bytes[id] as f64,
-                            );
-                            id += 1;
-                        }
-                    }
-                    last_sample = now;
-                    if sched.pending() > 0 {
-                        if let Some(dt) = sample_dt {
-                            sched.schedule(now + dt, Ev::Sample);
-                        }
+                        sched.schedule(grant.end + latency, Ev::ReturnAtClient(sr));
                     }
                 }
             }
-        };
-
-        match prof {
-            Some(p) => engine.run_profiled(p, handler),
-            None => engine.run(handler),
+            Ev::ReturnAtClient(sr) => {
+                let service = nic_service(net.t_s_per_byte, &mut nic_memo, sr.z);
+                let grant = client_nics[sr.node as usize].acquire(now, service);
+                if rec_hops {
+                    reqs[sr.req as usize].hops.push(SpanHop {
+                        stage: "client_nic",
+                        server: None,
+                        arrive: now.as_nanos(),
+                        start: grant.start.as_nanos(),
+                        end: grant.end.as_nanos(),
+                    });
+                }
+                sched.schedule(grant.end, Ev::SubDone { req: sr.req });
+            }
+            Ev::SubDone { req } => {
+                let ri = req as usize;
+                let done = {
+                    let r = &mut reqs[ri];
+                    r.pending = r.pending.saturating_sub(1);
+                    r.pending == 0
+                };
+                if done {
+                    if rec_on {
+                        let _rec = prof.map(|p| p.scope(Phase::Recorder));
+                        completed_by_op[op_index(reqs[ri].op)] += 1;
+                    }
+                    if rec_spans {
+                        let _rec = prof.map(|p| p.scope(Phase::Recorder));
+                        let hops = std::mem::take(&mut reqs[ri].hops);
+                        let r = &reqs[ri];
+                        recorder.span(SpanRecord {
+                            id: req as u64,
+                            kind: "request",
+                            labels: vec![
+                                ("client", r.client.to_string()),
+                                ("op", r.op.to_string()),
+                                ("file", r.file.to_string()),
+                                ("size", r.size.to_string()),
+                                ("offset", r.offset.to_string()),
+                            ],
+                            issued: r.issued.as_nanos(),
+                            completed: now.as_nanos(),
+                            hops,
+                        });
+                    }
+                    let r = &reqs[ri];
+                    let lat = (now - r.issued).as_secs_f64();
+                    match r.op {
+                        OpKind::Read => {
+                            read_latency.push(lat);
+                            bytes_read += r.size;
+                        }
+                        OpKind::Write => {
+                            write_latency.push(lat);
+                            bytes_written += r.size;
+                        }
+                    }
+                    completed += 1;
+                    last_completion = last_completion.max(now);
+                    let client = r.client;
+                    let c = &mut clients[client];
+                    c.batch_pending -= 1;
+                    if c.batch_pending == 0 {
+                        sched.schedule(
+                            now,
+                            Ev::StartStep {
+                                client: client as u32,
+                            },
+                        );
+                    }
+                }
+            }
+            Ev::Sample => {
+                // Read-only: sampling must not perturb the simulation. The
+                // tick re-arms itself only while real work remains queued, so
+                // it never extends the run past the last completion.
+                let window = now - last_sample;
+                for (id, s) in disks.iter().enumerate() {
+                    let labels = [
+                        ("server", id.to_string()),
+                        ("kind", cluster.profile_of(id).kind.to_string()),
+                    ];
+                    let next_free = s.disk.next_free();
+                    let booked = s.disk.busy_time();
+                    let busy_to_now = if next_free > now {
+                        booked - (next_free - now)
+                    } else {
+                        booked
+                    };
+                    let window_busy = busy_to_now - prev_busy[id];
+                    prev_busy[id] = busy_to_now;
+                    let util = if window.is_zero() {
+                        0.0
+                    } else {
+                        window_busy.as_nanos() as f64 / window.as_nanos() as f64
+                    };
+                    let t = now.as_nanos();
+                    recorder.series_point(
+                        registry::PFS_SERVER_QUEUE_DEPTH.name,
+                        &labels,
+                        t,
+                        inflight_subs[id] as f64,
+                    );
+                    recorder.series_point(registry::PFS_SERVER_UTIL.name, &labels, t, util);
+                    recorder.series_point(
+                        registry::PFS_SERVER_INFLIGHT_BYTES.name,
+                        &labels,
+                        t,
+                        inflight_bytes[id] as f64,
+                    );
+                }
+                last_sample = now;
+                if sched.pending() > 0 {
+                    if let Some(dt) = sample_dt {
+                        sched.schedule(now + dt, Ev::Sample);
+                    }
+                }
+            }
         }
     };
 
-    if n_groups > 1 {
-        // Deterministic sharded execution: fanout batches fork to the
-        // scoped workers and join before the next event dispatches, so
-        // the engine itself stays strictly sequential.
-        std::thread::scope(|s| {
-            let mut pool = Some(ShardPool::spawn(s, &env));
-            run_engine(&mut engine, &mut pool);
-        });
-    } else {
-        run_engine(&mut engine, &mut None);
+    match prof {
+        Some(p) => engine.run_profiled(p, handler),
+        None => engine.run(handler),
     }
 
     if rec_on {
@@ -668,28 +689,23 @@ pub fn simulate(
                 );
             }
         }
-        let mut id = 0usize;
-        for m in disk_groups.iter() {
-            let ds = shard::lock_group(m);
-            for s in ds.iter() {
-                let labels = [
-                    ("server", id.to_string()),
-                    ("kind", cluster.profile_of(id).kind.to_string()),
-                ];
-                recorder.counter_add(registry::PFS_SERVER_BYTES.name, &labels, s.bytes);
-                recorder.counter_add(
-                    registry::PFS_SERVER_SUB_REQUESTS.name,
-                    &labels,
-                    s.disk.jobs_served(),
-                );
-                recorder.merge_histogram(
-                    registry::PFS_SERVER_QUEUE_WAIT_NS.name,
-                    &labels,
-                    &s.queue_wait,
-                );
-                recorder.merge_histogram(registry::PFS_SERVER_SERVICE_NS.name, &labels, &s.service);
-                id += 1;
-            }
+        for (id, s) in disks.iter().enumerate() {
+            let labels = [
+                ("server", id.to_string()),
+                ("kind", cluster.profile_of(id).kind.to_string()),
+            ];
+            recorder.counter_add(registry::PFS_SERVER_BYTES.name, &labels, s.bytes);
+            recorder.counter_add(
+                registry::PFS_SERVER_SUB_REQUESTS.name,
+                &labels,
+                s.disk.jobs_served(),
+            );
+            recorder.merge_histogram(
+                registry::PFS_SERVER_QUEUE_WAIT_NS.name,
+                &labels,
+                &s.queue_wait,
+            );
+            recorder.merge_histogram(registry::PFS_SERVER_SERVICE_NS.name, &labels, &s.service);
         }
         if let Some(p) = prof {
             p.record_metrics(recorder);
@@ -703,23 +719,20 @@ pub fn simulate(
          (programs disagree on barrier counts)"
     );
 
-    let mut server_reports = Vec::with_capacity(n_servers);
-    for m in disk_groups.iter() {
-        let ds = shard::lock_group(m);
-        for s in ds.iter() {
-            let id = server_reports.len();
-            server_reports.push(ServerReport {
-                id,
-                kind: cluster.profile_of(id).kind,
-                disk_busy: s.disk.busy_time(),
-                nic_busy: server_nics[id].busy_time(),
-                disk_jobs: s.disk.jobs_served(),
-                disk_queued: s.disk.total_queued(),
-                bytes: s.bytes,
-                busy_series: s.busy_series.clone(),
-            });
-        }
-    }
+    let server_reports: Vec<ServerReport> = disks
+        .into_iter()
+        .enumerate()
+        .map(|(id, s)| ServerReport {
+            id,
+            kind: cluster.profile_of(id).kind,
+            disk_busy: s.disk.busy_time(),
+            nic_busy: server_nics[id].busy_time(),
+            disk_jobs: s.disk.jobs_served(),
+            disk_queued: s.disk.total_queued(),
+            bytes: s.bytes,
+            busy_series: s.busy_series,
+        })
+        .collect();
 
     SimReport {
         makespan: last_completion.max(
@@ -1194,7 +1207,7 @@ mod tests {
     }
 
     #[test]
-    fn sampling_is_deterministic_across_thread_counts() {
+    fn sampling_is_deterministic_across_runs() {
         use harl_simcore::MemoryRecorder;
         let (cluster, files) = one_file_cluster(64 * 1024);
         let programs: Vec<_> = (0..4)
@@ -1206,11 +1219,10 @@ mod tests {
                 )
             })
             .collect();
-        let sample = |threads: usize| {
+        let sample = || {
             let rec = std::sync::Arc::new(MemoryRecorder::new());
             let ctx = SimContext::recorded(rec.clone())
                 .with_seed(42)
-                .with_threads(threads)
                 .with_sample_interval(SimNanos::from_millis(2));
             simulate(&ctx, &cluster, &files, &programs);
             let labels = [
@@ -1223,8 +1235,8 @@ mod tests {
                 rec.series_points("pfs.server.inflight_bytes", &labels),
             )
         };
-        // Same seed + interval => bit-identical series, thread count moot.
-        assert_eq!(sample(1), sample(8));
+        // Same seed + interval => bit-identical series.
+        assert_eq!(sample(), sample());
     }
 
     #[test]

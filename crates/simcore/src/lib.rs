@@ -21,11 +21,19 @@
 //! independent stream from one master seed.
 
 // missing_docs / rust_2018_idioms come from [workspace.lints]. The
-// cfg_attr tier mirrors harl-lint's panic-hygiene rule at compile time
-// for library code; unit tests compile under cfg(test) and stay exempt.
+// cfg_attr tier keeps library code panic-free at compile time: no
+// unwrap/expect/panic!/unreachable! (todo!/unimplemented! are workspace
+// warnings, errors under ci.sh's -D warnings). Documented-precondition
+// panics carry an #[expect(clippy::panic, reason = ...)]; unit tests
+// compile under cfg(test) and stay exempt.
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
 )]
 
 pub(crate) mod calendar;

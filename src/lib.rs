@@ -34,8 +34,8 @@
 //! ```
 
 // missing_docs / rust_2018_idioms come from [workspace.lints]. The
-// cfg_attr tier mirrors harl-lint's panic-hygiene rule at compile time
-// for library code; unit tests compile under cfg(test) and stay exempt.
+// cfg_attr tier keeps unwrap/expect/panic! out of library code at compile
+// time; unit tests compile under cfg(test) and stay exempt.
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
