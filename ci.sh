@@ -117,6 +117,33 @@ print("multiapp report matches golden (cache hit rate = %.1f%%)"
 PY
 rm -rf "$out"
 
+echo "== paper results =="
+# Regenerates every figure and ablation at the paper's sizes (~20 s) and
+# diffs each results/*.json byte for byte. The only wall-clock values in
+# them are abl-step.json's planner timings (`wall_s`), so those lines are
+# dropped from both sides of that one diff.
+out="$(mktemp -d)"
+cargo run --release -q -p harl-bench --bin experiments -- \
+    --paper --out "$out" all >/dev/null
+status=0
+for f in results/*.json "$out"/*.json; do
+    name="$(basename "$f")"
+    if [ "$name" = abl-step.json ]; then
+        diff -u <(grep -v '"wall_s":' "results/$name") \
+            <(grep -v '"wall_s":' "$out/$name") || status=1
+    else
+        diff -u "results/$name" "$out/$name" || status=1
+    fi
+done
+if [ "$status" -ne 0 ]; then
+    echo "paper results diverged from results/*.json" >&2
+    echo "(if the change is intentional, regenerate them with" >&2
+    echo " cargo run --release -p harl-bench --bin experiments -- --paper all)" >&2
+    exit 1
+fi
+echo "paper results match results/*.json"
+rm -rf "$out"
+
 echo "== determinism audit (fast tier) =="
 # Re-runs the smoke and multiapp scenarios at 1 and 8 planner threads,
 # hashes every artifact (report JSON + wall-clock-stripped metrics JSONL)
