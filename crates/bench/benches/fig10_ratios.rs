@@ -14,7 +14,7 @@ fn fig10(c: &mut Criterion) {
     for (m, n) in [(7usize, 1usize), (6, 2), (2, 6)] {
         let cluster = ClusterConfig::hybrid(m, n);
         let w = bench_ior(OpKind::Read, 16, 512 * 1024);
-        let default = RegionStripeTable::single(BENCH_FILE, 64 * 1024, 64 * 1024);
+        let default = RegionStripeTable::uniform(BENCH_FILE, vec![64 * 1024, 64 * 1024]);
         let harl_rst = plan_for(&cluster, &w);
         let label = format!("{m}H{n}S");
         group.bench_with_input(BenchmarkId::new("default", &label), &w, |b, w| {

@@ -19,7 +19,7 @@ fn fig11(c: &mut Criterion) {
     // 1/128 of paper scale keeps each simulated run around 100 ms.
     let w = MultiRegionIorConfig::paper_default(OpKind::Read, 1.0 / 128.0).build();
     let file_size = w.extent().max(1);
-    let default = RegionStripeTable::single(file_size, 64 * 1024, 64 * 1024);
+    let default = RegionStripeTable::uniform(file_size, vec![64 * 1024, 64 * 1024]);
     let harl_rst = plan_for(&cluster, &w);
 
     group.bench_function("default_64K", |b| {

@@ -16,7 +16,7 @@ fn fig12(c: &mut Criterion) {
         let mut cfg = BtioConfig::paper_default(procs);
         cfg.grid = 32; // miniature grid for bench iterations
         let w = cfg.build();
-        let default = RegionStripeTable::single(cfg.file_size(), 64 * 1024, 64 * 1024);
+        let default = RegionStripeTable::uniform(cfg.file_size(), vec![64 * 1024, 64 * 1024]);
         let harl_rst = plan_for(&cluster, &w);
         group.bench_with_input(BenchmarkId::new("default", procs), &w, |b, w| {
             b.iter(|| black_box(run_once(&cluster, &default, w)))

@@ -15,7 +15,7 @@ fn fig1(c: &mut Criterion) {
 
     // (a) default layout, 512 KiB requests.
     let w = bench_ior(OpKind::Read, 16, 512 * 1024);
-    let rst = RegionStripeTable::single(64 << 20, 64 * 1024, 64 * 1024);
+    let rst = RegionStripeTable::uniform(64 << 20, vec![64 * 1024, 64 * 1024]);
     group.bench_function("a_default_64K", |b| {
         b.iter(|| black_box(run_once(&cluster, &rst, &w)))
     });
@@ -23,7 +23,7 @@ fn fig1(c: &mut Criterion) {
     // (b) one representative cell per sweep axis.
     for (req_k, stripe_k) in [(128u64, 16u64), (512, 64), (2048, 2048)] {
         let w = bench_ior(OpKind::Read, 16, req_k * 1024);
-        let rst = RegionStripeTable::single(64 << 20, stripe_k * 1024, stripe_k * 1024);
+        let rst = RegionStripeTable::uniform(64 << 20, vec![stripe_k * 1024, stripe_k * 1024]);
         group.bench_with_input(
             BenchmarkId::new("b_sweep", format!("req{req_k}K_stripe{stripe_k}K")),
             &(w, rst),

@@ -17,7 +17,7 @@ fn fig7(c: &mut Criterion) {
 
     for op in [OpKind::Read, OpKind::Write] {
         let w = bench_ior(op, 16, 512 * 1024);
-        let default = RegionStripeTable::single(64 << 20, 64 * 1024, 64 * 1024);
+        let default = RegionStripeTable::uniform(64 << 20, vec![64 * 1024, 64 * 1024]);
         let harl_rst = plan_for(&cluster, &w);
         group.bench_function(format!("{op}_default_64K"), |b| {
             b.iter(|| black_box(run_once(&cluster, &default, &w)))

@@ -15,7 +15,7 @@ fn fig8(c: &mut Criterion) {
 
     for procs in [8usize, 32, 128] {
         let w = bench_ior(OpKind::Read, procs, 512 * 1024);
-        let default = RegionStripeTable::single(BENCH_FILE, 64 * 1024, 64 * 1024);
+        let default = RegionStripeTable::uniform(BENCH_FILE, vec![64 * 1024, 64 * 1024]);
         let harl_rst = plan_for(&cluster, &w);
         group.bench_with_input(BenchmarkId::new("default", procs), &w, |b, w| {
             b.iter(|| black_box(run_once(&cluster, &default, w)))

@@ -14,7 +14,7 @@ fn fig9(c: &mut Criterion) {
 
     for req_k in [128u64, 1024] {
         let w = bench_ior(OpKind::Read, 16, req_k * 1024);
-        let default = RegionStripeTable::single(BENCH_FILE, 64 * 1024, 64 * 1024);
+        let default = RegionStripeTable::uniform(BENCH_FILE, vec![64 * 1024, 64 * 1024]);
         let harl_rst = plan_for(&cluster, &w);
         group.bench_with_input(BenchmarkId::new("default", req_k), &w, |b, w| {
             b.iter(|| black_box(run_once(&cluster, &default, w)))

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use harl_core::{
-    divide_regions, optimize_region, CostModelParams, OptimizerConfig, RegionDivisionConfig,
+    divide_regions, optimize_region, MultiProfileModel, OptimizerConfig, RegionDivisionConfig,
     RegionRequests, TraceRecord,
 };
 use harl_devices::OpKind;
@@ -26,7 +26,7 @@ fn records(n: usize, size: u64) -> Vec<TraceRecord> {
 }
 
 fn optimizer(c: &mut Criterion) {
-    let model = CostModelParams::from_cluster(&ClusterConfig::paper_default());
+    let model = MultiProfileModel::from_cluster(&ClusterConfig::paper_default());
     let mut group = c.benchmark_group("optimizer");
     group.sample_size(10);
 

@@ -16,8 +16,8 @@
 use crate::figures::FigureResult;
 use crate::harness::{improvement_pct, measure, PolicyOutcome, Scale};
 use harl_core::{
-    case_a_params, server_loads, CostModelParams, FixedPolicy, HarlPolicy, LayoutPolicy,
-    MultiProfileModel, MultiProfileOptimizer, OptimizerConfig, SegmentPolicy, ServerLevelPolicy,
+    case_a_params, server_loads, FixedPolicy, HarlPolicy, LayoutPolicy, MultiProfileModel,
+    OptimizerConfig, SegmentPolicy, ServerLevelPolicy,
 };
 use harl_devices::{nvme_2020_preset, CalibrationConfig, OpKind};
 use harl_middleware::collect_trace_lowered;
@@ -31,7 +31,7 @@ use serde_json::{json, Value};
 /// (heterogeneity-aware only), HARL (both).
 pub fn abl_region(scale: &Scale) -> FigureResult {
     let cluster = ClusterConfig::paper_default();
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
     let factor = scale.ior_file as f64 / (16.0 * 1024.0 * 1024.0 * 1024.0);
     let opt = OptimizerConfig {
         max_requests_per_eval: scale.opt_sample,
@@ -41,12 +41,12 @@ pub fn abl_region(scale: &Scale) -> FigureResult {
     let policies: Vec<Box<dyn LayoutPolicy>> = vec![
         Box::new(FixedPolicy::new(64 * 1024)),
         Box::new(SegmentPolicy {
-            model: model.clone().into(),
+            model: model.clone(),
             segment_size: 64 << 20,
             optimizer: opt.clone(),
         }),
         Box::new(ServerLevelPolicy {
-            model: model.clone().into(),
+            model: model.clone(),
             optimizer: opt.clone(),
         }),
         Box::new({
@@ -97,7 +97,7 @@ pub fn abl_region(scale: &Scale) -> FigureResult {
 /// Grid-step ablation: precision vs analysis cost of Algorithm 2.
 pub fn abl_step(scale: &Scale) -> FigureResult {
     let cluster = ClusterConfig::paper_default();
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
     let w = harl_workloads::IorConfig {
         processes: 16,
         request_size: 512 * 1024,
@@ -157,9 +157,9 @@ pub fn abl_model(scale: &Scale) -> FigureResult {
     }
     .build();
 
-    let truth = CostModelParams::from_cluster(&cluster);
+    let truth = MultiProfileModel::from_cluster(&cluster);
     let calibrated =
-        CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+        MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
     let (o_truth, _, _) = measure(&cluster, &HarlPolicy::new(truth), &w);
     let (o_cal, _, _) = measure(&cluster, &HarlPolicy::new(calibrated), &w);
 
@@ -400,43 +400,43 @@ pub fn abl_profiles(scale: &Scale) -> FigureResult {
     .build();
     let trace = collect_trace_lowered(&cluster, &w, &harl_middleware::CollectiveConfig::default());
     let sorted = trace.sorted_by_offset();
-    let sample: Vec<(u64, u64, OpKind)> = sorted
-        .iter()
-        .step_by(sorted.len().div_ceil(scale.opt_sample).max(1))
-        .map(|r| (r.offset, r.size, r.op))
-        .collect();
+    let reqs = harl_core::RegionRequests::new(&sorted, 0);
+    let cfg = OptimizerConfig {
+        max_requests_per_eval: scale.opt_sample,
+        ..OptimizerConfig::default()
+    };
+    let plan = |model: &MultiProfileModel| {
+        harl_core::optimize_region(
+            &crate::harness::context(),
+            model,
+            &reqs,
+            512 * 1024,
+            &cfg,
+            0,
+        )
+    };
 
-    // Candidate layouts as per-class widths [hdd, ssd, nvme].
-    let model = MultiProfileModel::from_cluster(&cluster);
-    let optimizer = MultiProfileOptimizer::new(model.clone());
-    let (k_widths, _) = optimizer.optimize(&sample, 512 * 1024);
+    // Candidate layouts as per-class widths [hdd, ssd, nvme]: the K = 3
+    // coordinate descent.
+    let k_widths = plan(&MultiProfileModel::from_cluster(&cluster)).widths;
 
     // Two-class approximation: SSD and NVMe share one width — optimise the
     // pair on a pseudo two-class model (SSD params for the fast class),
     // then apply that width to both fast classes.
-    let pair_model = CostModelParams::new(
-        4,
-        4,
+    let pair = plan(&MultiProfileModel::new(
         &cluster.network,
-        &cluster.classes[0].profile,
-        &cluster.classes[1].profile,
-    );
-    let reqs = harl_core::RegionRequests::new(&sorted, 0);
-    let pair = harl_core::optimize_region(
-        &crate::harness::context(),
-        &pair_model,
-        &reqs,
-        512 * 1024,
-        &OptimizerConfig {
-            max_requests_per_eval: scale.opt_sample,
-            ..OptimizerConfig::default()
-        },
-        0,
-    );
+        vec![
+            (4, cluster.classes[0].profile.clone()),
+            (4, cluster.classes[1].profile.clone()),
+        ],
+    ));
 
     let layouts: Vec<(String, Vec<u64>)> = vec![
         ("fixed-64K".into(), vec![64 * 1024, 64 * 1024, 64 * 1024]),
-        ("two-class".into(), vec![pair.h(), pair.s(), pair.s()]),
+        (
+            "two-class".into(),
+            vec![pair.width(0), pair.width(1), pair.width(1)],
+        ),
         ("k-profile".into(), k_widths.clone()),
     ];
 

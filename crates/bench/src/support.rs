@@ -6,7 +6,7 @@
 //! and prints the tables. Keeping the two separate means `cargo bench`
 //! finishes in minutes while still covering every figure's code path.
 
-use harl_core::{CostModelParams, HarlPolicy, LayoutPolicy, OptimizerConfig, RegionStripeTable};
+use harl_core::{HarlPolicy, LayoutPolicy, MultiProfileModel, OptimizerConfig, RegionStripeTable};
 use harl_devices::{CalibrationConfig, OpKind};
 use harl_middleware::{collect_trace_lowered, run_workload, CollectiveConfig, Workload};
 use harl_pfs::ClusterConfig;
@@ -31,7 +31,7 @@ pub fn bench_ior(op: OpKind, processes: usize, request_size: u64) -> Workload {
 
 /// A calibrated HARL policy with a small optimizer sample.
 pub fn bench_harl(cluster: &ClusterConfig) -> HarlPolicy {
-    let model = CostModelParams::from_cluster_calibrated(cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(cluster, &CalibrationConfig::default());
     let mut policy = HarlPolicy::new(model);
     policy.optimizer = OptimizerConfig {
         max_requests_per_eval: 256,

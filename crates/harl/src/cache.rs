@@ -50,7 +50,7 @@
 )]
 
 use crate::fingerprint::WorkloadFingerprint;
-use crate::multiprofile::MultiProfileModel;
+use crate::model::MultiProfileModel;
 use crate::optimizer::{optimize_region, LayoutChoice, OptimizerConfig, RegionRequests};
 use crate::region::{divide_regions, RegionDivisionConfig};
 use crate::rst::{RegionStripeTable, RstEntry};
@@ -498,7 +498,7 @@ impl RegionPlanCache {
 mod tests {
     use super::*;
     use crate::fingerprint::fingerprint_sorted;
-    use crate::model::CostModelParams;
+    use crate::model::MultiProfileModel;
     use crate::policy::{HarlPolicy, LayoutPolicy};
     use crate::trace::Trace;
     use harl_pfs::ClusterConfig;
@@ -508,7 +508,7 @@ mod tests {
     const MB: u64 = 1024 * 1024;
 
     fn model() -> MultiProfileModel {
-        CostModelParams::from_cluster(&ClusterConfig::paper_default()).into()
+        MultiProfileModel::from_cluster(&ClusterConfig::paper_default())
     }
 
     fn multi_phase_trace() -> (Trace, u64) {

@@ -16,7 +16,7 @@
 //! `BTreeMap` (deterministic cache iteration), and its serialized JSON is
 //! byte-identical across thread counts and platforms — pinned by test.
 
-use crate::multiprofile::MultiProfileModel;
+use crate::model::MultiProfileModel;
 use crate::region::{divide_regions, RegionDivisionConfig};
 use crate::trace::TraceRecord;
 use harl_devices::OpKind;
@@ -130,7 +130,7 @@ fn write_pct_bucket(writes: u64, total: u64) -> u32 {
 }
 
 impl ClassShape {
-    fn of(class: &crate::multiprofile::ClassParams) -> ClassShape {
+    fn of(class: &crate::model::ClassParams) -> ClassShape {
         ClassShape {
             count: class.count as u64,
             params_tag: fnv1a_f64s(&[
@@ -232,7 +232,7 @@ impl WorkloadFingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::CostModelParams;
+    use crate::model::MultiProfileModel;
     use harl_pfs::ClusterConfig;
     use harl_simcore::SimNanos;
 
@@ -240,7 +240,7 @@ mod tests {
     const MB: u64 = 1024 * 1024;
 
     fn model() -> MultiProfileModel {
-        CostModelParams::from_cluster(&ClusterConfig::paper_default()).into()
+        MultiProfileModel::from_cluster(&ClusterConfig::paper_default())
     }
 
     fn rec(offset: u64, size: u64, op: OpKind) -> TraceRecord {

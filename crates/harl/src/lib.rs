@@ -7,8 +7,9 @@
 //! 2. **Analysis**:
 //!    * [`region`] — Algorithm 1: CV-driven division of the file into
 //!      regions of similar workload, with threshold adaptation;
-//!    * [`model`] — the Sec. III-D cost model (Table I, Eqs. 1–8), exact
-//!      sub-request geometry plus the paper's Fig. 5 case table;
+//!    * [`model`] — the Sec. III-D cost model (Table I, Eqs. 1–8) over K
+//!      server classes: one table-driven [`CostKernel`], exact sub-request
+//!      geometry, and the paper's Fig. 5 case table;
 //!    * [`optimizer`] — Algorithm 2: per-region search for the optimal
 //!      per-class stripe widths (exhaustive grid at `K = 2`, coordinate
 //!      descent beyond), parallelised and deterministic.
@@ -43,7 +44,6 @@
 pub mod analysis;
 pub mod cache;
 pub(crate) mod cast;
-pub mod compat;
 pub mod errors;
 pub mod fingerprint;
 pub mod fold;
@@ -69,8 +69,11 @@ pub use fingerprint::{
     fingerprint_sorted, ClassShape, HistBucket, RegionSignature, WorkloadFingerprint,
 };
 pub use migration::{projected_sserver_bytes, BalanceOutcome, SpaceBalancer};
-pub use model::{case_a_params, server_loads, server_loads_scan, CostModelParams, ServerLoads};
-pub use multiprofile::{ClassParams, MultiProfileModel, MultiProfileOptimizer};
+pub use model::{
+    case_a_params, server_loads, ClassParams, ClassSpans, CostKernel, MultiProfileModel,
+    ServerLoads,
+};
+pub use multiprofile::coordinate_descent;
 pub use online::{AdaptationEvent, OnlineConfig, OnlineMonitor};
 pub use optimizer::{optimize_region, LayoutChoice, OptimizerConfig, RegionRequests};
 pub use policy::{

@@ -12,10 +12,12 @@
 //! optimizer (the same Algorithm 2 grid, restricted to candidates whose
 //! SServer share fits) — regions are picked in order of smallest predicted
 //! cost increase per byte reclaimed, which is a migration plan in the
-//! "move data from SServers to HServers" sense.
+//! "move data from SServers to HServers" sense. Balancing is inherently
+//! two-tier: it needs a `K = 2` model, class 0 the HServers and class 1
+//! the SServers.
 
-use crate::model::CostModelParams;
-use crate::optimizer::{OptimizerConfig, RegionRequests};
+use crate::model::MultiProfileModel;
+use crate::optimizer::{candidates, pick_better, OptimizerConfig, RegionRequests, StripeChoice};
 use crate::rst::{RegionStripeTable, RstEntry};
 use crate::trace::TraceRecord;
 use serde::{Deserialize, Serialize};
@@ -36,17 +38,29 @@ pub struct BalanceOutcome {
     pub cost_increase_frac: f64,
 }
 
-/// A constrained two-tier candidate (the balancer is inherently two-tier:
-/// it moves bytes from the SServer class to the HServer class).
-#[derive(Debug, Clone, Copy)]
-struct ConstrainedChoice {
-    h: u64,
-    s: u64,
-    cost: f64,
+/// The `[M, N]` server counts of a two-class model.
+///
+/// # Panics
+/// Panics unless the model has exactly two classes.
+#[expect(
+    clippy::panic,
+    reason = "space balancing documents its two-class precondition (# Panics): it moves bytes \
+              from the SServer class to the HServer class, which no other class count defines"
+)]
+fn server_counts(model: &MultiProfileModel) -> [usize; 2] {
+    match model.classes.as_slice() {
+        [h, s] => [h.count, s.count],
+        _ => panic!(
+            "space balancing needs a two-class model, got {} classes",
+            model.class_count()
+        ),
+    }
 }
 
-/// SServer share of one region's bytes under `(h, s)` on an (M, N) cluster.
-fn sserver_fraction(m: usize, h: u64, n: usize, s: u64) -> f64 {
+/// SServer share of one region's bytes under widths `[h, s]` on an
+/// `[M, N]` cluster.
+fn sserver_fraction([m, n]: [usize; 2], widths: &[u64]) -> f64 {
+    let (h, s) = (widths[0], widths[1]);
     let total = m as u64 * h + n as u64 * s;
     if total == 0 {
         return 0.0;
@@ -55,18 +69,22 @@ fn sserver_fraction(m: usize, h: u64, n: usize, s: u64) -> f64 {
 }
 
 /// Projected SServer bytes of a whole RST.
-pub fn projected_sserver_bytes(model: &CostModelParams, rst: &RegionStripeTable) -> u64 {
+///
+/// # Panics
+/// Panics unless `model` has exactly two classes.
+pub fn projected_sserver_bytes(model: &MultiProfileModel, rst: &RegionStripeTable) -> u64 {
+    let counts = server_counts(model);
     rst.entries()
         .iter()
-        .map(|e| (e.len as f64 * sserver_fraction(model.m(), e.h(), model.n(), e.s())) as u64)
+        .map(|e| (e.len as f64 * sserver_fraction(counts, e.widths())) as u64)
         .sum()
 }
 
 /// The space balancer.
 #[derive(Debug, Clone)]
 pub struct SpaceBalancer {
-    /// Platform model used for re-planning.
-    pub model: CostModelParams,
+    /// Two-class platform model used for re-planning.
+    pub model: MultiProfileModel,
     /// Total bytes the SServer pool may hold for this file.
     pub sserver_capacity: u64,
     /// Optimizer settings for the constrained re-plan.
@@ -74,54 +92,30 @@ pub struct SpaceBalancer {
 }
 
 impl SpaceBalancer {
-    /// Best `(h, s)` for a region whose SServer share must not exceed
-    /// `max_frac`. Returns `None` if no candidate satisfies the bound
-    /// (cannot happen for `max_frac >= 0` when M > 0 thanks to the
-    /// `(R̄, 0)` extreme).
+    /// Best Algorithm 2 grid candidate for a region whose SServer share
+    /// must not exceed `max_frac`. Returns `None` if no candidate satisfies
+    /// the bound (cannot happen for `max_frac >= 0` when M > 0 thanks to
+    /// the `[R̄, 0]` extreme).
     fn constrained_choice(
         &self,
         requests: &RegionRequests<'_>,
         avg: u64,
         max_frac: f64,
-    ) -> Option<ConstrainedChoice> {
+    ) -> Option<StripeChoice> {
+        let counts = server_counts(&self.model);
         let step = self.optimizer.effective_step(avg.max(1));
-        let r_bar = avg.max(step).div_ceil(step) * step;
-        let mut best: Option<ConstrainedChoice> = None;
-        let mut consider = |h: u64, s: u64| {
-            if self.model.m() as u64 * h + self.model.n() as u64 * s == 0 {
-                return;
-            }
-            if sserver_fraction(self.model.m(), h, self.model.n(), s) > max_frac + 1e-12 {
-                return;
-            }
-            let cost = requests.cost_of(&self.model, h, s, self.optimizer.max_requests_per_eval);
-            let cand = ConstrainedChoice { h, s, cost };
-            best = Some(match best.take() {
-                None => cand,
-                Some(b)
-                    if cand.cost < b.cost
-                        || (cand.cost == b.cost && (cand.h, cand.s) > (b.h, b.s)) =>
-                {
-                    cand
-                }
-                Some(b) => b,
-            });
-        };
-        let mut h = 0;
-        while h <= r_bar {
-            let mut s = h + step;
-            while s <= r_bar + step {
-                if self.model.n() > 0 {
-                    consider(h, s);
-                }
-                s += step;
-            }
-            h += step;
-        }
-        if self.model.m() > 0 {
-            consider(r_bar, 0);
-        }
-        best
+        candidates(avg, step, counts)
+            .into_iter()
+            .filter(|widths| sserver_fraction(counts, widths) <= max_frac + 1e-12)
+            .map(|widths| StripeChoice {
+                widths,
+                cost: requests.cost_of_widths(
+                    &self.model,
+                    &widths,
+                    self.optimizer.max_requests_per_eval,
+                ),
+            })
+            .reduce(pick_better)
     }
 
     /// Balance `rst` so projected SServer usage fits the capacity.
@@ -129,7 +123,11 @@ impl SpaceBalancer {
     /// `sorted` is the offset-sorted trace the plan was built from (used to
     /// re-cost regions). Regions are re-planned greedily in order of least
     /// cost-increase per SServer byte reclaimed until the budget holds.
+    ///
+    /// # Panics
+    /// Panics unless the model has exactly two classes.
     pub fn balance(&self, rst: &RegionStripeTable, sorted: &[TraceRecord]) -> BalanceOutcome {
+        let counts = server_counts(&self.model);
         let before = projected_sserver_bytes(&self.model, rst);
         if before <= self.sserver_capacity {
             return BalanceOutcome {
@@ -163,12 +161,12 @@ impl SpaceBalancer {
         while current > self.sserver_capacity {
             let mut best_idx: Option<usize> = None;
             let mut best_score = f64::NEG_INFINITY;
-            let mut best_plan: Option<(ConstrainedChoice, f64, u64)> = None;
+            let mut best_plan: Option<(StripeChoice, f64, u64)> = None;
             for (i, e) in entries.iter().enumerate() {
                 if adjusted[i] {
                     continue;
                 }
-                let cur_frac = sserver_fraction(self.model.m(), e.h(), self.model.n(), e.s());
+                let cur_frac = sserver_fraction(counts, e.widths());
                 if cur_frac == 0.0 {
                     continue;
                 }
@@ -177,18 +175,17 @@ impl SpaceBalancer {
                 let avg = if hi > lo {
                     (sorted[lo..hi].iter().map(|r| r.size).sum::<u64>() / (hi - lo) as u64).max(1)
                 } else {
-                    e.h().max(e.s())
+                    e.width(0).max(e.width(1))
                 };
-                let old_cost = reqs.cost_of(
+                let old_cost = reqs.cost_of_widths(
                     &self.model,
-                    e.h(),
-                    e.s(),
+                    e.widths(),
                     self.optimizer.max_requests_per_eval,
                 );
                 let Some(plan) = self.constrained_choice(&reqs, avg, cur_frac / 2.0) else {
                     continue;
                 };
-                let new_frac = sserver_fraction(self.model.m(), plan.h, self.model.n(), plan.s);
+                let new_frac = sserver_fraction(counts, &plan.widths);
                 let reclaimed = ((cur_frac - new_frac).max(0.0) * e.len as f64) as u64;
                 if reclaimed == 0 {
                     continue;
@@ -204,7 +201,7 @@ impl SpaceBalancer {
             let (Some(i), Some((plan, old_cost, reclaimed))) = (best_idx, best_plan) else {
                 break; // nothing left to reclaim
             };
-            entries[i] = RstEntry::two(entries[i].offset, entries[i].len, plan.h, plan.s);
+            entries[i] = RstEntry::new(entries[i].offset, entries[i].len, plan.widths.to_vec());
             adjusted[i] = true;
             old_cost_total.add(old_cost);
             new_cost_total.add(plan.cost);
@@ -239,8 +236,8 @@ mod tests {
     const KB: u64 = 1024;
     const MB: u64 = 1024 * 1024;
 
-    fn model() -> CostModelParams {
-        CostModelParams::from_cluster(&ClusterConfig::paper_default())
+    fn model() -> MultiProfileModel {
+        MultiProfileModel::from_cluster(&ClusterConfig::paper_default())
     }
 
     fn trace(n: u64, size: u64) -> Vec<TraceRecord> {
@@ -257,14 +254,14 @@ mod tests {
     }
 
     fn ssd_heavy_rst(file_size: u64) -> RegionStripeTable {
-        RegionStripeTable::single(file_size, 32 * KB, 160 * KB)
+        RegionStripeTable::uniform(file_size, vec![32 * KB, 160 * KB])
     }
 
     #[test]
     fn fraction_math() {
-        assert!((sserver_fraction(6, 32 * KB, 2, 160 * KB) - 320.0 / 512.0).abs() < 1e-12);
-        assert_eq!(sserver_fraction(6, 64 * KB, 2, 0), 0.0);
-        assert_eq!(sserver_fraction(0, 0, 2, 64 * KB), 1.0);
+        assert!((sserver_fraction([6, 2], &[32 * KB, 160 * KB]) - 320.0 / 512.0).abs() < 1e-12);
+        assert_eq!(sserver_fraction([6, 2], &[64 * KB, 0]), 0.0);
+        assert_eq!(sserver_fraction([0, 2], &[0, 64 * KB]), 1.0);
     }
 
     #[test]
@@ -334,8 +331,8 @@ mod tests {
             timestamp: SimNanos::ZERO,
         }));
         let rst = RegionStripeTable::new(vec![
-            RstEntry::two(0, boundary, 64 * KB, 832 * KB),
-            RstEntry::two(boundary, 32 * 128 * KB, 0, 64 * KB),
+            RstEntry::new(0, boundary, vec![64 * KB, 832 * KB]),
+            RstEntry::new(boundary, 32 * 128 * KB, vec![0, 64 * KB]),
         ]);
         let before = projected_sserver_bytes(&m, &rst);
         let balancer = SpaceBalancer {
@@ -368,5 +365,14 @@ mod tests {
         };
         let out = balancer.balance(&rst, &trace(16, 512 * KB));
         assert!(out.sserver_bytes_after <= out.sserver_bytes_before);
+    }
+
+    #[test]
+    #[should_panic(expected = "two-class model")]
+    fn three_class_model_is_rejected() {
+        let cluster =
+            ClusterConfig::hybrid(4, 2).with_extra_class(2, harl_devices::nvme_2020_preset());
+        let rst = RegionStripeTable::uniform(64 * MB, vec![32 * KB, 64 * KB, 128 * KB]);
+        projected_sserver_bytes(&MultiProfileModel::from_cluster(&cluster), &rst);
     }
 }

@@ -1,188 +1,272 @@
-//! The data-access cost model of Sec. III-D (Table I, Eqs. 1–8).
+//! The data-access cost model of Sec. III-D (Table I, Eqs. 1–8), for any
+//! number of server classes.
 //!
-//! The cost of one file request under a two-class layout with stripe sizes
-//! `(h, s)` on `M` HServers and `N` SServers is
+//! Under per-class stripe widths `w_k` on `count_k` servers, one file
+//! request costs
 //!
 //! ```text
 //! T = T_X + T_S + T_T
-//! T_X = max(s_m, s_n) · t                        (network, Eq. 1)
-//! T_S = max(T_h^S, T_s^S)                        (startup, Eqs. 3–5)
-//!       T_h^S = α_min + m/(m+1) · (α_max − α_min)   (order statistic of
-//!                                                     m uniform draws)
-//! T_T = max(s_m · β_h, s_n · β_s)                (transfer, Eq. 6)
+//! T_X = max_k s_k · t                              (network, Eq. 1)
+//! T_S = max_k α_min,k + m_k/(m_k+1)·(α_max,k − α_min,k)
+//!                                                  (startup, Eqs. 3–5)
+//! T_T = max_k s_k · β_k                            (transfer, Eq. 6)
 //! ```
 //!
-//! where `s_m`/`s_n` are the largest per-server loads on HServers/SServers
-//! and `m`/`n` how many of each the request touches. The paper derives
-//! `(s_m, s_n, m, n)` through the case analysis of Figs. 4–5; we compute
-//! them *exactly* from the round-robin geometry in O(1) per class
-//! ([`server_loads`]): every server's load is a per-group base plus a
-//! step-function correction from the two endpoint fragments, so only the
-//! segment boundaries need case analysis, never the individual servers.
-//! The per-server scan is kept as [`server_loads_scan`] and the paper's
-//! case-(a) table as [`case_a_params`] so tests can confirm all three
-//! agree on their domains.
+//! where `s_k` is the largest per-server load on class `k` and `m_k` how
+//! many of its servers the request touches (the startup term of an
+//! untouched class is 0). The paper states the two-class case — `h` on `M`
+//! HServers, `s` on `N` SServers — and derives `(s_m, s_n, m, n)` through
+//! the case analysis of Figs. 4–5; we compute every class's pair *exactly*
+//! from the round-robin geometry in O(1) (`class_span_loads`): every
+//! server's load is a per-group base plus a step-function correction from
+//! the two endpoint fragments, so only the segment boundaries need case
+//! analysis, never the individual servers. The paper's two-class
+//! vocabulary survives as [`server_loads`] and its case-(a) table as
+//! [`case_a_params`], so tests can confirm the closed form and the table
+//! agree on the table's domain.
 //!
-//! The canonical model is the K-class
-//! [`MultiProfileModel`];
-//! [`CostModelParams`] is its `K = 2` view, carrying the paper's `(M, N)`
-//! vocabulary and the pair-form cost entry points (see `crate::compat`)
-//! plus the precomputed [`StartupTable`] the exhaustive grid search leans
-//! on.
+//! [`MultiProfileModel`] holds the platform parameters; [`CostKernel`] is
+//! the library's one implementation of Eqs. 1–8, built once per search
+//! from a model: Eq. 5 is tabulated per class and op by servers touched,
+//! and each candidate's class offsets within a group ([`ClassSpans`]) are
+//! computed once rather than per request.
 
 use crate::cast::{i64_to_u64, i64_to_usize, u64_to_i64, u64_to_usize, usize_to_i64, usize_to_u64};
-use crate::multiprofile::MultiProfileModel;
-use harl_devices::{NetworkProfile, OpKind, OpParams, StorageProfile};
+use harl_devices::{CalibrationConfig, NetworkProfile, OpKind, OpParams, StorageProfile};
 use harl_pfs::ClusterConfig;
+use serde::{Deserialize, Serialize};
 
-/// The two-class view of the platform model (paper Table I).
+/// One server class in the model.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ClassParams {
+    /// Servers in the class.
+    pub count: usize,
+    /// Read-path parameters.
+    pub read: OpParams,
+    /// Write-path parameters.
+    pub write: OpParams,
+}
+
+/// The platform model (paper Table I) over K server classes.
 ///
-/// A thin wrapper over a `K = 2` [`MultiProfileModel`] — the widths-based
-/// API is reachable through `Deref`, while the paper's `(h, s)` pair-form
-/// cost functions live in `crate::compat` as inherent methods. Usually
-/// built from *calibrated* profiles ([`harl_devices::calibrate_storage`])
-/// so the optimizer works from measurements, exactly as the paper's
-/// Analysis Phase does.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostModelParams {
-    pub(crate) inner: MultiProfileModel,
+/// Usually built from *calibrated* profiles
+/// ([`MultiProfileModel::from_cluster_calibrated`]) so the optimizer works
+/// from measurements, exactly as the paper's Analysis Phase does.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MultiProfileModel {
+    /// Per-class parameters, in server-id order.
+    pub classes: Vec<ClassParams>,
+    /// Network per-byte time (seconds/byte).
+    pub t_s_per_byte: f64,
 }
 
-impl std::ops::Deref for CostModelParams {
-    type Target = MultiProfileModel;
-    fn deref(&self) -> &MultiProfileModel {
-        &self.inner
-    }
-}
-
-impl CostModelParams {
-    /// Build from explicit profiles.
-    pub fn new(
-        m: usize,
-        n: usize,
-        network: &NetworkProfile,
-        hserver: &StorageProfile,
-        sserver: &StorageProfile,
-    ) -> Self {
-        assert!(m + n > 0, "model needs at least one server");
-        CostModelParams {
-            inner: MultiProfileModel::new(
-                network,
-                vec![(m, hserver.clone()), (n, sserver.clone())],
-            ),
-        }
-    }
-
-    /// Wrap an existing two-class model.
-    ///
-    /// # Panics
-    /// Panics unless the model has exactly two classes.
-    pub fn from_multi(inner: MultiProfileModel) -> Self {
-        assert_eq!(inner.class_count(), 2, "two-class view needs K = 2");
-        CostModelParams { inner }
-    }
-
-    /// Build from a two-class cluster's ground-truth profiles.
+impl MultiProfileModel {
+    /// Build from a cluster's ground-truth profiles, any number of classes.
     pub fn from_cluster(cluster: &ClusterConfig) -> Self {
-        assert_eq!(
-            cluster.classes.len(),
-            2,
-            "two-class model; use MultiProfileModel::from_cluster for K classes"
-        );
-        CostModelParams::from_multi(MultiProfileModel::from_cluster(cluster))
-    }
-
-    /// Build from a cluster but with *measured* (calibrated) device
-    /// parameters — the faithful reproduction of the paper's Analysis
-    /// Phase pipeline.
-    pub fn from_cluster_calibrated(
-        cluster: &ClusterConfig,
-        cfg: &harl_devices::CalibrationConfig,
-    ) -> Self {
-        assert_eq!(cluster.classes.len(), 2, "two-class model");
-        let h = harl_devices::calibrate_storage(&cluster.classes[0].profile, cfg);
-        let s = harl_devices::calibrate_storage(&cluster.classes[1].profile, cfg);
-        let net = harl_devices::calibrate_network(&cluster.network, cfg);
-        CostModelParams::new(
-            cluster.classes[0].count,
-            cluster.classes[1].count,
-            &net,
-            &h,
-            &s,
+        MultiProfileModel::new(
+            &cluster.network,
+            cluster
+                .classes
+                .iter()
+                .map(|c| (c.count, c.profile.clone()))
+                .collect(),
         )
     }
 
-    /// Number of HServers (`M`).
-    #[inline]
-    pub fn m(&self) -> usize {
-        self.inner.classes[0].count
+    /// Build from a cluster but with *measured* (calibrated) device
+    /// parameters for every class and the network — the faithful
+    /// reproduction of the paper's Analysis Phase pipeline.
+    pub fn from_cluster_calibrated(cluster: &ClusterConfig, cfg: &CalibrationConfig) -> Self {
+        MultiProfileModel::new(
+            &harl_devices::calibrate_network(&cluster.network, cfg),
+            cluster
+                .classes
+                .iter()
+                .map(|c| (c.count, harl_devices::calibrate_storage(&c.profile, cfg)))
+                .collect(),
+        )
     }
 
-    /// Number of SServers (`N`).
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.inner.classes[1].count
-    }
-
-    #[inline]
-    pub(crate) fn h_params(&self, op: OpKind) -> &OpParams {
-        match op {
-            OpKind::Read => &self.inner.classes[0].read,
-            OpKind::Write => &self.inner.classes[0].write,
+    /// Build from explicit profiles.
+    pub fn new(network: &NetworkProfile, classes: Vec<(usize, StorageProfile)>) -> Self {
+        MultiProfileModel {
+            classes: classes
+                .into_iter()
+                .map(|(count, p)| ClassParams {
+                    count,
+                    read: p.read,
+                    write: p.write,
+                })
+                .collect(),
+            t_s_per_byte: network.t_s_per_byte,
         }
     }
 
-    #[inline]
-    pub(crate) fn s_params(&self, op: OpKind) -> &OpParams {
-        match op {
-            OpKind::Read => &self.inner.classes[1].read,
-            OpKind::Write => &self.inner.classes[1].write,
-        }
+    /// Number of classes.
+    pub fn class_count(&self) -> usize {
+        self.classes.len()
     }
 
-    /// The expected maximum of `k` i.i.d. uniform draws on
-    /// `[α_min, α_max]`: `α_min + k/(k+1)·(α_max − α_min)` (Eqs. 3–4).
-    #[inline]
-    pub(crate) fn startup_k(p: &OpParams, k: usize) -> f64 {
-        if k == 0 {
-            0.0
-        } else {
-            p.alpha_min_s + (k as f64 / (k as f64 + 1.0)) * (p.alpha_max_s - p.alpha_min_s)
-        }
-    }
-
-    /// Precompute the startup term `T_S` (Eq. 5) for every possible
-    /// `(m, n)` touched-server pair. The grid search evaluates millions of
-    /// requests against one model, and Eq. 5 is the only non-arithmetic
-    /// part of the cost — tabulating it turns two order-statistic
-    /// evaluations per request into one load.
-    pub fn startup_table(&self) -> StartupTable {
-        let (m_count, n_count) = (self.m(), self.n());
-        let stride = n_count + 1;
-        let build = |hp: &OpParams, sp: &OpParams| -> Vec<f64> {
-            let mut t = Vec::with_capacity((m_count + 1) * stride);
-            for m in 0..=m_count {
-                for n in 0..=n_count {
-                    t.push(Self::startup_k(hp, m).max(Self::startup_k(sp, n)));
-                }
-            }
-            t
-        };
-        StartupTable {
-            read: build(self.h_params(OpKind::Read), self.s_params(OpKind::Read)),
-            write: build(self.h_params(OpKind::Write), self.s_params(OpKind::Write)),
-            stride,
-        }
+    /// True when some populated class has a non-zero width.
+    pub(crate) fn has_capacity(&self, widths: &[u64]) -> bool {
+        self.classes
+            .iter()
+            .zip(widths)
+            .any(|(c, &w)| c.count > 0 && w > 0)
     }
 }
 
-/// Precomputed Eq. 5 startup maxima, indexed by `(m, n)` touched-server
-/// counts — see [`CostModelParams::startup_table`].
+/// One class of a [`CostKernel`], for one op.
 #[derive(Debug, Clone)]
-pub struct StartupTable {
-    pub(crate) read: Vec<f64>,
-    pub(crate) write: Vec<f64>,
-    pub(crate) stride: usize,
+struct KernelClass {
+    count: usize,
+    /// Eq. 6 per-byte transfer time.
+    beta: f64,
+    /// Eq. 5 startup by servers touched (`0..=count`; an untouched class
+    /// starts nothing).
+    startup: Vec<f64>,
+}
+
+/// Eqs. 1–8 precomputed for one [`MultiProfileModel`] — the library's one
+/// cost-model implementation, shared by the `K = 2` grid, the `K ≥ 3`
+/// descent, the on-line monitor and every baseline that costs a layout.
+#[derive(Debug, Clone)]
+pub struct CostKernel {
+    t_s_per_byte: f64,
+    /// The classes in order, per op (indexed by [`op_index`]).
+    ops: [Vec<KernelClass>; 2],
+}
+
+/// One candidate's round-robin geometry under a [`CostKernel`]: the group
+/// size `Σ count_k·w_k` and each class's `(base, width)` within a group.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClassSpans {
+    group: u64,
+    spans: Vec<(u64, u64)>,
+}
+
+impl ClassSpans {
+    /// The round-robin group size `Σ count_k·w_k`: a request's cost depends
+    /// on its offset only modulo this.
+    #[inline]
+    pub fn group(&self) -> u64 {
+        self.group
+    }
+}
+
+#[inline]
+fn op_index(op: OpKind) -> usize {
+    match op {
+        OpKind::Read => 0,
+        OpKind::Write => 1,
+    }
+}
+
+impl CostKernel {
+    /// Tabulate a model.
+    pub fn new(model: &MultiProfileModel) -> Self {
+        // The expected maximum of `k` i.i.d. uniform draws on
+        // `[α_min, α_max]` (Eqs. 3–4).
+        let classes = |op: fn(&ClassParams) -> &OpParams| -> Vec<KernelClass> {
+            model
+                .classes
+                .iter()
+                .map(|c| {
+                    let p = op(c);
+                    let startup = (0..=c.count)
+                        .map(|k| {
+                            if k == 0 {
+                                0.0
+                            } else {
+                                let k = k as f64;
+                                p.alpha_min_s + k / (k + 1.0) * (p.alpha_max_s - p.alpha_min_s)
+                            }
+                        })
+                        .collect();
+                    KernelClass {
+                        count: c.count,
+                        beta: p.beta_s_per_byte,
+                        startup,
+                    }
+                })
+                .collect()
+        };
+        CostKernel {
+            t_s_per_byte: model.t_s_per_byte,
+            ops: [classes(|c| &c.read), classes(|c| &c.write)],
+        }
+    }
+
+    /// Lay out `widths` into `out`, reusing its allocation.
+    ///
+    /// # Panics
+    /// Panics unless there is one width per class and some populated
+    /// class has a non-zero width.
+    pub fn place(&self, widths: &[u64], out: &mut ClassSpans) {
+        let classes = &self.ops[0];
+        assert_eq!(widths.len(), classes.len(), "one width per class");
+        out.spans.resize(classes.len(), (0, 0));
+        let mut base = 0u64;
+        for ((c, &w), span) in classes.iter().zip(widths).zip(&mut out.spans) {
+            *span = (base, w);
+            base += usize_to_u64(c.count) * w;
+        }
+        assert!(base > 0, "layout has no capacity");
+        out.group = base;
+    }
+
+    /// [`Self::place`] into a fresh [`ClassSpans`].
+    pub fn spans(&self, widths: &[u64]) -> ClassSpans {
+        let mut out = ClassSpans::default();
+        self.place(widths, &mut out);
+        out
+    }
+
+    /// Cost (seconds) of one request at region-relative `offset` of `size`
+    /// bytes under the placed widths — Eq. 7 (reads) / Eq. 8 (writes).
+    /// Zero-size requests cost nothing.
+    #[inline(always)]
+    pub fn cost(&self, at: &ClassSpans, offset: u64, size: u64, op: OpKind) -> f64 {
+        if size == 0 {
+            return 0.0;
+        }
+        let group = at.group;
+        let end = offset + size;
+        // One division pair per endpoint, shared by every class.
+        let dq = end / group - offset / group;
+        let (r_o, r_e) = (offset % group, end % group);
+        // One class's (largest load, Eq. 5 startup, Eq. 6 transfer).
+        let term = |c: &KernelClass, base: u64, w: u64| -> (u64, f64, f64) {
+            let (load, touched) = class_span_loads(dq, r_o, r_e, base, w, c.count);
+            (load, c.startup[touched], load as f64 * c.beta)
+        };
+        // Every term is non-negative, so the maxima may start from any
+        // class. The paper's two classes are unrolled (the grid's hot
+        // path, where the first class always starts a group); any other
+        // class count folds from zero.
+        let classes = &self.ops[op_index(op)];
+        let (max_load, t_s, t_t) = match (classes.as_slice(), at.spans.as_slice()) {
+            ([h, s], [(_, w_h), (base_s, w_s)]) => {
+                let (load_h, start_h, xfer_h) = term(h, 0, *w_h);
+                let (load_s, start_s, xfer_s) = term(s, *base_s, *w_s);
+                (load_h.max(load_s), start_h.max(start_s), xfer_h.max(xfer_s))
+            }
+            (classes, spans) => classes.iter().zip(spans).fold(
+                (0, 0.0, 0.0),
+                |(load, start, xfer): (u64, f64, f64), (c, &(base, w))| {
+                    let (l, s, x) = term(c, base, w);
+                    (load.max(l), start.max(s), xfer.max(x))
+                },
+            ),
+        };
+        // Eq. 1 (the slowest sub-request on the wire) + Eq. 5 + Eq. 6.
+        max_load as f64 * self.t_s_per_byte + t_s + t_t
+    }
+
+    /// [`Self::cost`] under `widths`, placed for this one request.
+    pub fn request_cost(&self, offset: u64, size: u64, op: OpKind, widths: &[u64]) -> f64 {
+        self.cost(&self.spans(widths), offset, size, op)
+    }
 }
 
 /// The four critical parameters of the paper's case analysis.
@@ -198,22 +282,12 @@ pub struct ServerLoads {
     pub n: usize,
 }
 
-/// Bytes of `[0, x)` on the server whose segment is `[base, base+w)`
-/// within a group of size `group`.
-#[inline]
-fn bytes_below(x: u64, group: u64, base: u64, w: u64) -> u64 {
-    if w == 0 {
-        return 0;
-    }
-    (x / group) * w + (x % group).saturating_sub(base).min(w)
-}
-
 /// Exact `(s_m, m, s_n, n)` for a request `[offset, offset+size)` under the
-/// round-robin two-class layout — O(1) closed form over the group geometry.
+/// round-robin two-class layout — the paper's Fig. 5 vocabulary, in O(1)
+/// over the group geometry.
 ///
-/// Bit-identical to [`server_loads_scan`] (property-tested) but independent
-/// of `M + N`, which makes every grid candidate in Algorithm 2 constant
-/// time instead of linear in the cluster size.
+/// Property-tested against a per-server scan; independent of `M + N`,
+/// like every class term of [`CostKernel::cost`].
 ///
 /// # Panics
 /// Panics if both classes have zero capacity (`M·h + N·s == 0`) for a
@@ -242,57 +316,6 @@ pub fn server_loads(
     let (r_o, r_e) = (offset % group, end % group);
     let (s_m, m) = class_span_loads(dq, r_o, r_e, 0, h, m_servers);
     let (s_n, n) = class_span_loads(dq, r_o, r_e, usize_to_u64(m_servers) * h, s, n_servers);
-    ServerLoads { s_m, m, s_n, n }
-}
-
-/// Reference implementation of [`server_loads`]: the per-server scan,
-/// O(M+N) per request. Kept for cross-validation; the optimizer uses the
-/// closed form.
-///
-/// # Panics
-/// Panics if both classes have zero capacity (`M·h + N·s == 0`) for a
-/// non-empty request.
-pub fn server_loads_scan(
-    offset: u64,
-    size: u64,
-    m_servers: usize,
-    h: u64,
-    n_servers: usize,
-    s: u64,
-) -> ServerLoads {
-    if size == 0 {
-        return ServerLoads {
-            s_m: 0,
-            m: 0,
-            s_n: 0,
-            n: 0,
-        };
-    }
-    let group = usize_to_u64(m_servers) * h + usize_to_u64(n_servers) * s;
-    assert!(group > 0, "layout has no capacity (M*h + N*s == 0)");
-    let end = offset + size;
-
-    let mut s_m = 0;
-    let mut m = 0;
-    for i in 0..m_servers {
-        let base = usize_to_u64(i) * h;
-        let b = bytes_below(end, group, base, h) - bytes_below(offset, group, base, h);
-        if b > 0 {
-            m += 1;
-            s_m = s_m.max(b);
-        }
-    }
-    let mut s_n = 0;
-    let mut n = 0;
-    let s_base0 = usize_to_u64(m_servers) * h;
-    for j in 0..n_servers {
-        let base = s_base0 + usize_to_u64(j) * s;
-        let b = bytes_below(end, group, base, s) - bytes_below(offset, group, base, s);
-        if b > 0 {
-            n += 1;
-            s_n = s_n.max(b);
-        }
-    }
     ServerLoads { s_m, m, s_n, n }
 }
 
@@ -489,18 +512,19 @@ mod tests {
     #![allow(clippy::float_cmp)]
 
     use super::*;
-    use harl_devices::{hdd_2015_preset, ssd_2015_preset, NetworkProfile};
+    use harl_devices::{hdd_2015_preset, nvme_2020_preset, ssd_2015_preset, NetworkProfile};
 
     const KB: u64 = 1024;
 
-    fn paper_params() -> CostModelParams {
-        CostModelParams::new(
-            6,
-            2,
+    fn paper_model() -> MultiProfileModel {
+        MultiProfileModel::new(
             &NetworkProfile::gigabit_ethernet(),
-            &hdd_2015_preset(),
-            &ssd_2015_preset(),
+            vec![(6, hdd_2015_preset()), (2, ssd_2015_preset())],
         )
+    }
+
+    fn paper_kernel() -> CostKernel {
+        CostKernel::new(&paper_model())
     }
 
     #[test]
@@ -539,24 +563,27 @@ mod tests {
 
     #[test]
     fn zero_size_request_is_free() {
-        let p = paper_params();
-        assert_eq!(p.request_cost(123, 0, OpKind::Read, 64 * KB, 64 * KB), 0.0);
+        let k = paper_kernel();
+        assert_eq!(
+            k.request_cost(123, 0, OpKind::Read, &[64 * KB, 64 * KB]),
+            0.0
+        );
     }
 
     #[test]
     fn cost_increases_with_size() {
-        let p = paper_params();
-        let c1 = p.request_cost(0, 128 * KB, OpKind::Read, 64 * KB, 64 * KB);
-        let c2 = p.request_cost(0, 512 * KB, OpKind::Read, 64 * KB, 64 * KB);
-        let c3 = p.request_cost(0, 2048 * KB, OpKind::Read, 64 * KB, 64 * KB);
+        let k = paper_kernel();
+        let c1 = k.request_cost(0, 128 * KB, OpKind::Read, &[64 * KB, 64 * KB]);
+        let c2 = k.request_cost(0, 512 * KB, OpKind::Read, &[64 * KB, 64 * KB]);
+        let c3 = k.request_cost(0, 2048 * KB, OpKind::Read, &[64 * KB, 64 * KB]);
         assert!(c1 < c2 && c2 < c3);
     }
 
     #[test]
     fn writes_cost_more_than_reads() {
-        let p = paper_params();
-        let r = p.request_cost(0, 512 * KB, OpKind::Read, 64 * KB, 64 * KB);
-        let w = p.request_cost(0, 512 * KB, OpKind::Write, 64 * KB, 64 * KB);
+        let k = paper_kernel();
+        let r = k.request_cost(0, 512 * KB, OpKind::Read, &[64 * KB, 64 * KB]);
+        let w = k.request_cost(0, 512 * KB, OpKind::Write, &[64 * KB, 64 * KB]);
         assert!(w > r, "write {w} should exceed read {r}");
     }
 
@@ -564,9 +591,9 @@ mod tests {
     fn balanced_varied_beats_fixed_for_512k() {
         // The heart of the paper: at 512 KiB requests on 6H+2S the model
         // must prefer a small-h / large-s layout over uniform 64 KiB.
-        let p = paper_params();
-        let fixed = p.request_cost(0, 512 * KB, OpKind::Read, 64 * KB, 64 * KB);
-        let varied = p.request_cost(0, 512 * KB, OpKind::Read, 32 * KB, 160 * KB);
+        let k = paper_kernel();
+        let fixed = k.request_cost(0, 512 * KB, OpKind::Read, &[64 * KB, 64 * KB]);
+        let varied = k.request_cost(0, 512 * KB, OpKind::Read, &[32 * KB, 160 * KB]);
         assert!(varied < fixed, "varied {varied} should beat fixed {fixed}");
     }
 
@@ -574,10 +601,10 @@ mod tests {
     fn small_requests_prefer_ssd_only() {
         // Fig. 9: at 128 KiB the optimal layout is {0, 64K} — any HServer
         // involvement pays the big HDD startup.
-        let p = paper_params();
-        let ssd_only = p.request_cost(0, 128 * KB, OpKind::Read, 0, 64 * KB);
-        let mixed = p.request_cost(0, 128 * KB, OpKind::Read, 16 * KB, 16 * KB);
-        let fixed = p.request_cost(0, 128 * KB, OpKind::Read, 64 * KB, 64 * KB);
+        let k = paper_kernel();
+        let ssd_only = k.request_cost(0, 128 * KB, OpKind::Read, &[0, 64 * KB]);
+        let mixed = k.request_cost(0, 128 * KB, OpKind::Read, &[16 * KB, 16 * KB]);
+        let fixed = k.request_cost(0, 128 * KB, OpKind::Read, &[64 * KB, 64 * KB]);
         assert!(ssd_only < mixed);
         assert!(ssd_only < fixed);
     }
@@ -589,10 +616,43 @@ mod tests {
             alpha_max_s: 3.0,
             beta_s_per_byte: 0.0,
         };
-        assert_eq!(CostModelParams::startup_k(&p, 0), 0.0);
-        assert!((CostModelParams::startup_k(&p, 1) - 2.0).abs() < 1e-12);
+        let model = MultiProfileModel {
+            classes: vec![ClassParams {
+                count: 1000,
+                read: p,
+                write: p,
+            }],
+            t_s_per_byte: 0.0,
+        };
+        let table = &CostKernel::new(&model).ops[0][0].startup;
+        assert_eq!(table[0], 0.0);
+        assert!((table[1] - 2.0).abs() < 1e-12);
         // k → ∞ approaches α_max.
-        assert!((CostModelParams::startup_k(&p, 1000) - 3.0).abs() < 0.01);
+        assert!((table[1000] - 3.0).abs() < 0.01);
+    }
+
+    #[test]
+    fn spans_lay_classes_out_in_order() {
+        let model = MultiProfileModel::new(
+            &NetworkProfile::gigabit_ethernet(),
+            vec![
+                (2, hdd_2015_preset()),
+                (2, ssd_2015_preset()),
+                (1, nvme_2020_preset()),
+            ],
+        );
+        let spans = CostKernel::new(&model).spans(&[16 * KB, 64 * KB, 128 * KB]);
+        assert_eq!(spans.group, 288 * KB);
+        assert_eq!(
+            spans.spans,
+            vec![(0, 16 * KB), (32 * KB, 64 * KB), (160 * KB, 128 * KB)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one width per class")]
+    fn width_count_mismatch_panics() {
+        paper_kernel().spans(&[4 * KB]);
     }
 
     #[test]
@@ -665,27 +725,38 @@ mod tests {
 
     #[test]
     fn from_cluster_matches_manual() {
-        let cluster = ClusterConfig::paper_default();
-        let p = CostModelParams::from_cluster(&cluster);
-        assert_eq!(p.m(), 6);
-        assert_eq!(p.n(), 2);
-        let q = paper_params();
-        assert_eq!(p, q);
+        let p = MultiProfileModel::from_cluster(&ClusterConfig::paper_default());
+        assert_eq!(p.class_count(), 2);
+        assert_eq!((p.classes[0].count, p.classes[1].count), (6, 2));
+        assert_eq!(p, paper_model());
     }
 
     #[test]
     fn calibrated_model_close_to_truth() {
         let cluster = ClusterConfig::paper_default();
-        let truth = CostModelParams::from_cluster(&cluster);
-        let cal = CostModelParams::from_cluster_calibrated(
+        let truth = CostKernel::new(&MultiProfileModel::from_cluster(&cluster));
+        let cal = CostKernel::new(&MultiProfileModel::from_cluster_calibrated(
             &cluster,
-            &harl_devices::CalibrationConfig::default(),
-        );
-        let ct = truth.request_cost(0, 512 * KB, OpKind::Read, 32 * KB, 160 * KB);
-        let cc = cal.request_cost(0, 512 * KB, OpKind::Read, 32 * KB, 160 * KB);
+            &CalibrationConfig::default(),
+        ));
+        let ct = truth.request_cost(0, 512 * KB, OpKind::Read, &[32 * KB, 160 * KB]);
+        let cc = cal.request_cost(0, 512 * KB, OpKind::Read, &[32 * KB, 160 * KB]);
         assert!(
             (ct - cc).abs() / ct < 0.1,
             "calibrated cost {cc} vs truth {ct}"
         );
+    }
+
+    #[test]
+    fn calibration_covers_every_class() {
+        let cluster = ClusterConfig::hybrid(4, 2).with_extra_class(2, nvme_2020_preset());
+        let cal =
+            MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+        assert_eq!(cal.class_count(), 3);
+        for (c, truth) in cal.classes.iter().zip(&cluster.classes) {
+            assert_eq!(c.count, truth.count);
+            let (got, want) = (c.read.beta_s_per_byte, truth.profile.read.beta_s_per_byte);
+            assert!((got - want).abs() / want < 0.1, "β {got} vs truth {want}");
+        }
     }
 }

@@ -2,15 +2,15 @@
 //! to extend our cost model to accommodate more than two server
 //! performance profiles."*
 //!
-//! The two-class cost structure of Sec. III-D generalises directly: a
-//! request's cost is still `T_X + T_S + T_T`, with each term the maximum
-//! over the K classes of the class's network/startup/transfer component.
-//! What does not generalise is Algorithm 2's 2-D grid — K nested loops are
-//! exponential — so the [`MultiProfileOptimizer`] uses coordinate descent:
-//! optimise one class's stripe width at a time (a 1-D scan identical in
-//! spirit to the paper's loops) and iterate to a fixed point. On two-class
-//! inputs it recovers the same optima as the exhaustive grid (see the
-//! tests), and the fixed point is deterministic.
+//! The cost model generalises directly (see [`crate::model`]): a request's
+//! cost is still `T_X + T_S + T_T`, each term the maximum over the K
+//! classes. What does not generalise is Algorithm 2's 2-D grid — K nested
+//! loops are exponential — so for `K ≥ 3` [`crate::optimize_region`] runs
+//! [`coordinate_descent`]: optimise one class's stripe width at a time (a
+//! 1-D scan identical in spirit to the paper's loops) and iterate to a
+//! fixed point. On two-class inputs it recovers the exhaustive grid's
+//! optima to within a few percent (see the tests), and the fixed point is
+//! deterministic.
 //!
 //! Each candidate is scored like a grid candidate (see [`crate::optimizer`]):
 //! the sample is split once into strided runs, each run's offset residues
@@ -20,223 +20,31 @@
 //! per-request sum (`crates/harl/tests/descent_props.rs` holds that oracle).
 
 use crate::fold::OrderedSum;
-use crate::model::CostModelParams;
-use crate::optimizer::{strided_runs, StridedRun};
-use harl_devices::{NetworkProfile, OpKind, OpParams, StorageProfile};
-use harl_pfs::ClusterConfig;
-use serde::{Deserialize, Serialize};
+use crate::model::{ClassSpans, CostKernel, MultiProfileModel};
+use crate::optimizer::{strided_runs, LayoutChoice, StridedRun};
+use harl_devices::OpKind;
 
-/// One server class in the K-profile model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClassParams {
-    /// Servers in the class.
-    pub count: usize,
-    /// Read-path parameters.
-    pub read: OpParams,
-    /// Write-path parameters.
-    pub write: OpParams,
-}
+/// Full descent sweeps before [`coordinate_descent`] stops at the current
+/// point.
+const MAX_SWEEPS: usize = 16;
 
-/// The K-class cost model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MultiProfileModel {
-    /// Per-class parameters, in server-id order.
-    pub classes: Vec<ClassParams>,
-    /// Network per-byte time (seconds/byte).
-    pub t_s_per_byte: f64,
-}
-
-impl MultiProfileModel {
-    /// Build from a cluster of any number of classes.
-    pub fn from_cluster(cluster: &ClusterConfig) -> Self {
-        MultiProfileModel {
-            classes: cluster
-                .classes
-                .iter()
-                .map(|c| ClassParams {
-                    count: c.count,
-                    read: c.profile.read,
-                    write: c.profile.write,
-                })
-                .collect(),
-            t_s_per_byte: cluster.network.t_s_per_byte,
-        }
-    }
-
-    /// Build from explicit profiles.
-    pub fn new(network: &NetworkProfile, classes: Vec<(usize, StorageProfile)>) -> Self {
-        MultiProfileModel {
-            classes: classes
-                .into_iter()
-                .map(|(count, p)| ClassParams {
-                    count,
-                    read: p.read,
-                    write: p.write,
-                })
-                .collect(),
-            t_s_per_byte: network.t_s_per_byte,
-        }
-    }
-
-    /// Number of classes.
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// Per-class `(max_load, servers_touched)` for a request under
-    /// per-class widths (exact round-robin geometry, as in the two-class
-    /// [`crate::server_loads`]).
-    pub fn class_loads(&self, offset: u64, size: u64, widths: &[u64]) -> Vec<(u64, usize)> {
-        assert_eq!(widths.len(), self.classes.len(), "one width per class");
-        let group: u64 = self
-            .classes
-            .iter()
-            .zip(widths)
-            .map(|(c, &w)| c.count as u64 * w)
-            .sum();
-        assert!(group > 0, "layout has no capacity");
-        if size == 0 {
-            return vec![(0, 0); self.classes.len()];
-        }
-        let end = offset + size;
-        let dq = end / group - offset / group;
-        let (r_o, r_e) = (offset % group, end % group);
-        let mut out = Vec::with_capacity(self.classes.len());
-        let mut base = 0u64;
-        for (c, &w) in self.classes.iter().zip(widths) {
-            out.push(crate::model::class_span_loads(
-                dq, r_o, r_e, base, w, c.count,
-            ));
-            base += c.count as u64 * w;
-        }
-        out
-    }
-
-    /// True when some populated class has a non-zero width.
-    fn has_capacity(&self, widths: &[u64]) -> bool {
-        self.classes
-            .iter()
-            .zip(widths)
-            .any(|(c, &w)| c.count > 0 && w > 0)
-    }
-
-    /// Cost of one request under per-class widths (the generalised
-    /// Eqs. 7/8). Allocation-free: this is the per-request hot path of the
-    /// online monitor and the coordinate-descent inner loop, so the class
-    /// loads are folded into the three cost terms as they are computed
-    /// rather than materialised (the summation order matches
-    /// [`Self::class_loads`] exactly).
-    pub fn request_cost(&self, offset: u64, size: u64, op: OpKind, widths: &[u64]) -> f64 {
-        if size == 0 {
-            return 0.0;
-        }
-        assert_eq!(widths.len(), self.classes.len(), "one width per class");
-        let group: u64 = self
-            .classes
-            .iter()
-            .zip(widths)
-            .map(|(c, &w)| c.count as u64 * w)
-            .sum();
-        assert!(group > 0, "layout has no capacity");
-        let end = offset + size;
-        let dq = end / group - offset / group;
-        let (r_o, r_e) = (offset % group, end % group);
-        let mut t_x: f64 = 0.0;
-        let mut t_s: f64 = 0.0;
-        let mut t_t: f64 = 0.0;
-        let mut base = 0u64;
-        for (c, &w) in self.classes.iter().zip(widths) {
-            let (load, touched) = crate::model::class_span_loads(dq, r_o, r_e, base, w, c.count);
-            base += c.count as u64 * w;
-            let p = match op {
-                OpKind::Read => &c.read,
-                OpKind::Write => &c.write,
-            };
-            t_x = t_x.max(load as f64 * self.t_s_per_byte);
-            if touched > 0 {
-                let k = touched as f64;
-                t_s = t_s.max(p.alpha_min_s + k / (k + 1.0) * (p.alpha_max_s - p.alpha_min_s));
-            }
-            t_t = t_t.max(load as f64 * p.beta_s_per_byte);
-        }
-        t_x + t_s + t_t
-    }
-}
-
-impl From<&CostModelParams> for MultiProfileModel {
-    /// The two-class model as a K = 2 instance.
-    fn from(p: &CostModelParams) -> Self {
-        p.inner.clone()
-    }
-}
-
-impl From<CostModelParams> for MultiProfileModel {
-    /// Unwrap the two-class view (no copy).
-    fn from(p: CostModelParams) -> Self {
-        p.inner
-    }
-}
-
-impl From<MultiProfileModel> for CostModelParams {
-    /// The two-class view of a `K = 2` model.
-    ///
-    /// # Panics
-    /// Panics unless the model has exactly two classes.
-    fn from(m: MultiProfileModel) -> Self {
-        CostModelParams::from_multi(m)
-    }
-}
-
-/// Full descent sweeps before [`MultiProfileOptimizer`] and the `K ≥ 3`
-/// arm of [`crate::optimize_region`] stop at the current point.
-pub(crate) const MAX_SWEEPS: usize = 16;
-
-/// Coordinate-descent stripe optimizer over K classes.
-#[derive(Debug, Clone)]
-pub struct MultiProfileOptimizer {
-    /// The platform model.
-    pub model: MultiProfileModel,
-    /// Grid step per axis scan.
-    pub step: u64,
-    /// Maximum grid points per axis scan.
-    pub max_grid_points: usize,
-    /// Maximum full descent sweeps.
-    pub max_sweeps: usize,
-}
-
-impl MultiProfileOptimizer {
-    /// A default-configured optimizer for the model.
-    pub fn new(model: MultiProfileModel) -> Self {
-        MultiProfileOptimizer {
-            model,
-            step: 4 * 1024,
-            max_grid_points: 128,
-            max_sweeps: MAX_SWEEPS,
-        }
-    }
-
-    /// Optimise per-class widths for a region's request sample (offsets
-    /// region-relative) with average request size `avg`.
-    ///
-    /// Returns `(widths, cost)`. Deterministic: descent runs from several
-    /// fixed starting points (balanced, bandwidth-proportional, and one
-    /// per-class-favoured start), axes are scanned in class order, ties
-    /// prefer larger widths, and the best fixed point wins.
-    pub fn optimize(&self, sample: &[(u64, u64, OpKind)], avg: u64) -> (Vec<u64>, f64) {
-        let step = crate::optimizer::effective_step(self.step, self.max_grid_points, avg.max(1));
-        coordinate_descent(&self.model, step, self.max_sweeps, sample, avg)
-    }
-}
-
-/// [`MultiProfileOptimizer::optimize`] over a borrowed model at an already
-/// effective grid `step` — the `K ≥ 3` arm of [`crate::optimize_region`].
-pub(crate) fn coordinate_descent(
+/// Coordinate descent over per-class widths for a region's request
+/// sample (offsets region-relative) with average request size `avg`, on
+/// grid `step` (already raised to the effective step, see
+/// [`crate::OptimizerConfig::effective_step`]) — the `K ≥ 3` arm of
+/// [`crate::optimize_region`].
+///
+/// Returns the chosen widths with their cost, and how many candidates were
+/// costed (pruned ones included). Deterministic: descent runs from several
+/// fixed starting points (balanced, bandwidth-proportional, and one
+/// per-class-favoured start), axes are scanned in class order, ties prefer
+/// larger widths, and the best fixed point wins.
+pub fn coordinate_descent(
     model: &MultiProfileModel,
     step: u64,
-    max_sweeps: usize,
     sample: &[(u64, u64, OpKind)],
     avg: u64,
-) -> (Vec<u64>, f64) {
+) -> (LayoutChoice, u64) {
     let k = model.class_count();
     assert!(k > 0, "no classes");
     let r_bar = avg.max(step).div_ceil(step) * step;
@@ -252,7 +60,11 @@ pub(crate) fn coordinate_descent(
     let balanced = zero_out(vec![r_bar.div_ceil(k as u64 * step) * step; k]);
     assert!(balanced.iter().any(|&w| w > 0), "no servers in any class");
     if sample.is_empty() {
-        return (balanced, 0.0);
+        let choice = LayoutChoice {
+            widths: balanced,
+            cost: 0.0,
+        };
+        return (choice, 0);
     }
 
     // Starting points: balanced, read-bandwidth-proportional, and each
@@ -296,10 +108,10 @@ pub(crate) fn coordinate_descent(
     }
 
     let mut scorer = Scorer::new(model, sample);
-    starts
+    let (widths, cost) = starts
         .into_iter()
         .filter(|w| model.has_capacity(w))
-        .map(|start| scorer.descend(start, step, r_bar, max_sweeps))
+        .map(|start| scorer.descend(start, step, r_bar))
         // The infinite-cost sentinel loses to every real descent (and
         // on a cost tie, any non-empty widths vector orders above the
         // empty one), so it only surfaces if no start survives the
@@ -310,51 +122,56 @@ pub(crate) fn coordinate_descent(
             } else {
                 a
             }
-        })
+        });
+    (LayoutChoice { widths, cost }, scorer.scored)
 }
 
 /// Scores candidate widths over one sample, split once into the grid's
 /// strided runs (see [`crate::optimizer`]).
 struct Scorer<'a> {
     model: &'a MultiProfileModel,
+    kernel: CostKernel,
     runs: Vec<StridedRun>,
+    /// The candidate being scored (reused scratch).
+    spans: ClassSpans,
     /// Per-residue costs of the run being scored (reused scratch).
     cycle: Vec<f64>,
+    /// Candidates costed so far.
+    scored: u64,
 }
 
 impl<'a> Scorer<'a> {
     fn new(model: &'a MultiProfileModel, sample: &[(u64, u64, OpKind)]) -> Self {
         Scorer {
             model,
+            kernel: CostKernel::new(model),
             runs: strided_runs(sample),
+            spans: ClassSpans::default(),
             cycle: Vec::new(),
+            scored: 0,
         }
     }
 
     /// The sample's summed cost under `widths` — or, as soon as the
     /// running sum strictly exceeds `bound`, that partial sum.
     ///
-    /// Each run costs one `request_cost` per residue of its offset cycle,
+    /// Each run costs one kernel call per residue of its offset cycle,
     /// then replays those costs in sample order into one left fold: the
     /// same values added in the same order as a per-request sum, so the
     /// result is bit-identical to it. Costs are non-negative, so a cut-off
     /// candidate's full sum would also exceed `bound`: a caller comparing
     /// against `bound` rejects the partial sum as it would the full one.
     fn cost(&mut self, widths: &[u64], bound: f64) -> f64 {
-        let group: u64 = self
-            .model
-            .classes
-            .iter()
-            .zip(widths)
-            .map(|(c, &w)| c.count as u64 * w)
-            .sum();
+        self.scored += 1;
+        self.kernel.place(widths, &mut self.spans);
+        let group = self.spans.group();
         let mut sum = OrderedSum::new();
         for run in &self.runs {
             let (period, d) = run.cycle(group);
             self.cycle.clear();
             let mut r = run.o0 % group;
             for _ in 0..period {
-                let c = self.model.request_cost(r, run.size, run.op, widths);
+                let c = self.kernel.cost(&self.spans, r, run.size, run.op);
                 self.cycle.push(c);
                 sum.add(c);
                 if sum.value() > bound {
@@ -376,16 +193,10 @@ impl<'a> Scorer<'a> {
     }
 
     /// One coordinate-descent run from a fixed starting point.
-    fn descend(
-        &mut self,
-        mut widths: Vec<u64>,
-        step: u64,
-        r_bar: u64,
-        max_sweeps: usize,
-    ) -> (Vec<u64>, f64) {
+    fn descend(&mut self, mut widths: Vec<u64>, step: u64, r_bar: u64) -> (Vec<u64>, f64) {
         let mut best_cost = self.cost(&widths, f64::INFINITY);
 
-        for _sweep in 0..max_sweeps {
+        for _sweep in 0..MAX_SWEEPS {
             let mut improved = false;
             for axis in 0..widths.len() {
                 if self.model.classes[axis].count == 0 {
@@ -421,10 +232,9 @@ impl<'a> Scorer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::{optimize_region, OptimizerConfig, RegionRequests};
-    use crate::trace::TraceRecord;
-    use harl_devices::{hdd_2015_preset, nvme_2020_preset, ssd_2015_preset};
-    use harl_simcore::SimNanos;
+    use crate::optimizer::OptimizerConfig;
+    use harl_devices::{hdd_2015_preset, nvme_2020_preset, ssd_2015_preset, NetworkProfile};
+    use harl_pfs::ClusterConfig;
 
     const KB: u64 = 1024;
 
@@ -432,60 +242,10 @@ mod tests {
         (0..n).map(|i| (i as u64 * size, size, op)).collect()
     }
 
-    fn two_class_model() -> MultiProfileModel {
-        MultiProfileModel::from(&CostModelParams::from_cluster(
-            &ClusterConfig::paper_default(),
-        ))
-    }
-
-    #[test]
-    fn two_class_cost_matches_pair_model() {
-        let pair = CostModelParams::from_cluster(&ClusterConfig::paper_default());
-        let multi = MultiProfileModel::from(&pair);
-        for (o, r) in [(0u64, 512 * KB), (123 * KB, 512 * KB), (7, 130_000)] {
-            for op in OpKind::ALL {
-                let a = pair.request_cost(o, r, op, 32 * KB, 160 * KB);
-                let b = multi.request_cost(o, r, op, &[32 * KB, 160 * KB]);
-                assert!((a - b).abs() < 1e-15, "cost mismatch at ({o},{r},{op})");
-            }
-        }
-    }
-
-    #[test]
-    fn coordinate_descent_matches_grid_on_two_classes() {
-        let pair = CostModelParams::from_cluster(&ClusterConfig::paper_default());
-        let records: Vec<TraceRecord> = (0..32)
-            .map(|i| TraceRecord {
-                rank: 0,
-                fd: 0,
-                op: OpKind::Read,
-                offset: i as u64 * 512 * KB,
-                size: 512 * KB,
-                timestamp: SimNanos::ZERO,
-            })
-            .collect();
-        let grid = optimize_region(
-            &harl_simcore::SimContext::new(),
-            &pair,
-            &RegionRequests::new(&records, 0),
-            512 * KB,
-            &OptimizerConfig {
-                threads: 1,
-                ..OptimizerConfig::default()
-            },
-            0,
-        );
-        let opt = MultiProfileOptimizer::new(MultiProfileModel::from(&pair));
-        let (widths, cost) = opt.optimize(&sample(32, 512 * KB, OpKind::Read), 512 * KB);
-        // Coordinate descent can stop at a local optimum; it must get
-        // within a few percent of the exhaustive grid and produce the same
-        // qualitative shape (s >> h).
-        assert!(
-            cost <= grid.cost * 1.05,
-            "descent cost {cost} vs grid {g}",
-            g = grid.cost
-        );
-        assert!(widths[1] > widths[0], "SSD class must get larger stripes");
+    /// The descent at the default optimizer's effective step.
+    fn descend(model: &MultiProfileModel, sample: &[(u64, u64, OpKind)], avg: u64) -> LayoutChoice {
+        let step = OptimizerConfig::default().effective_step(avg);
+        coordinate_descent(model, step, sample, avg).0
     }
 
     #[test]
@@ -495,8 +255,8 @@ mod tests {
         let cluster = ClusterConfig::hybrid(4, 2).with_extra_class(2, nvme_2020_preset());
         let model = MultiProfileModel::from_cluster(&cluster);
         assert_eq!(model.class_count(), 3);
-        let opt = MultiProfileOptimizer::new(model);
-        let (widths, cost) = opt.optimize(&sample(32, 512 * KB, OpKind::Read), 512 * KB);
+        let LayoutChoice { widths, cost } =
+            descend(&model, &sample(32, 512 * KB, OpKind::Read), 512 * KB);
         assert!(cost.is_finite());
         assert!(
             widths[2] >= widths[1] && widths[1] >= widths[0],
@@ -506,47 +266,23 @@ mod tests {
     }
 
     #[test]
-    fn loads_conservation_k_classes() {
-        let model = MultiProfileModel::new(
-            &NetworkProfile::gigabit_ethernet(),
-            vec![
-                (2, hdd_2015_preset()),
-                (2, ssd_2015_preset()),
-                (1, nvme_2020_preset()),
-            ],
-        );
-        let widths = [16 * KB, 64 * KB, 128 * KB];
-        let loads = model.class_loads(0, 288 * KB, &widths);
-        // Group = 2*16 + 2*64 + 128 = 288 KiB: one full group.
-        assert_eq!(loads[0], (16 * KB, 2));
-        assert_eq!(loads[1], (64 * KB, 2));
-        assert_eq!(loads[2], (128 * KB, 1));
-    }
-
-    #[test]
     fn zero_count_class_is_skipped() {
         let model = MultiProfileModel::new(
             &NetworkProfile::gigabit_ethernet(),
             vec![(0, hdd_2015_preset()), (2, ssd_2015_preset())],
         );
-        let opt = MultiProfileOptimizer::new(model);
-        let (widths, cost) = opt.optimize(&sample(8, 128 * KB, OpKind::Read), 128 * KB);
-        assert_eq!(widths[0], 0);
-        assert!(widths[1] > 0);
-        assert!(cost.is_finite());
+        let choice = descend(&model, &sample(8, 128 * KB, OpKind::Read), 128 * KB);
+        assert_eq!(choice.widths[0], 0);
+        assert!(choice.widths[1] > 0);
+        assert!(choice.cost.is_finite());
     }
 
     #[test]
     fn empty_sample_returns_balanced_default() {
-        let opt = MultiProfileOptimizer::new(two_class_model());
-        let (widths, cost) = opt.optimize(&[], 128 * KB);
-        assert_eq!(cost, 0.0);
-        assert!(widths.iter().all(|&w| w > 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "one width per class")]
-    fn width_count_mismatch_panics() {
-        two_class_model().class_loads(0, 1, &[4 * KB]);
+        let model = MultiProfileModel::from_cluster(&ClusterConfig::paper_default());
+        let (choice, scored) = coordinate_descent(&model, 4 * KB, &[], 128 * KB);
+        assert_eq!(choice.cost, 0.0);
+        assert_eq!(scored, 0, "nothing to cost");
+        assert!(choice.widths.iter().all(|&w| w > 0));
     }
 }

@@ -15,7 +15,7 @@
 //! amortises it.
 
 use crate::cache::RegionPlanCache;
-use crate::multiprofile::MultiProfileModel;
+use crate::model::{ClassSpans, CostKernel, MultiProfileModel};
 use crate::optimizer::{LayoutChoice, OptimizerConfig, RegionRequests};
 use crate::rst::RegionStripeTable;
 use crate::trace::TraceRecord;
@@ -117,6 +117,9 @@ impl RegionState {
 /// is confirmed.
 pub struct OnlineMonitor {
     model: MultiProfileModel,
+    kernel: CostKernel,
+    /// The placed widths of the request being costed (reused scratch).
+    spans: ClassSpans,
     rst: RegionStripeTable,
     /// The per-region average request size the current plan assumed.
     planned_avg: Vec<u64>,
@@ -150,12 +153,11 @@ impl OnlineMonitor {
     /// optimised for (from Algorithm 1's `A_reg`); if unknown, pass the
     /// observed averages of the original trace.
     pub fn new(
-        model: impl Into<MultiProfileModel>,
+        model: MultiProfileModel,
         rst: RegionStripeTable,
         planned_avg: Vec<u64>,
         cfg: OnlineConfig,
     ) -> Self {
-        let model = model.into();
         assert_eq!(
             planned_avg.len(),
             rst.len(),
@@ -165,6 +167,8 @@ impl OnlineMonitor {
         assert!(cfg.drift_ratio > 1.0, "drift ratio must exceed 1.0");
         let regions = (0..rst.len()).map(|_| RegionState::default()).collect();
         OnlineMonitor {
+            kernel: CostKernel::new(&model),
+            spans: ClassSpans::default(),
             model,
             rst,
             planned_avg,
@@ -237,11 +241,12 @@ impl OnlineMonitor {
         let region = self.rst.region_of(rec.offset);
         let predicted = {
             let entry = &self.rst.entries()[region];
-            self.model.request_cost(
+            self.kernel.place(entry.widths(), &mut self.spans);
+            self.kernel.cost(
+                &self.spans,
                 rec.offset.saturating_sub(entry.offset),
                 rec.size,
                 rec.op,
-                entry.widths(),
             )
         };
         let residual = actual_s - predicted;
@@ -442,12 +447,12 @@ mod tests {
 
     const KB: u64 = 1024;
 
-    fn model() -> crate::model::CostModelParams {
-        crate::model::CostModelParams::from_cluster(&ClusterConfig::paper_default())
+    fn model() -> MultiProfileModel {
+        MultiProfileModel::from_cluster(&ClusterConfig::paper_default())
     }
 
     fn monitor(planned_size: u64) -> OnlineMonitor {
-        let rst = RegionStripeTable::single(1 << 30, 32 * KB, 160 * KB);
+        let rst = RegionStripeTable::uniform(1 << 30, vec![32 * KB, 160 * KB]);
         OnlineMonitor::new(
             model(),
             rst,
@@ -497,7 +502,7 @@ mod tests {
         assert!(e.saving_per_request_s > 0.0);
         // The active table now carries the new widths.
         let entry = &m.current_rst().entries()[0];
-        assert_eq!((entry.h(), entry.s()), (0, 64 * KB));
+        assert_eq!(entry.widths(), &[0, 64 * KB]);
     }
 
     #[test]
@@ -547,8 +552,8 @@ mod tests {
     #[test]
     fn multi_region_monitor_targets_the_drifted_region() {
         let rst = crate::rst::RegionStripeTable::new(vec![
-            crate::rst::RstEntry::two(0, 512 << 20, 32 * KB, 160 * KB),
-            crate::rst::RstEntry::two(512 << 20, 512 << 20, 32 * KB, 160 * KB),
+            crate::rst::RstEntry::new(0, 512 << 20, vec![32 * KB, 160 * KB]),
+            crate::rst::RstEntry::new(512 << 20, 512 << 20, vec![32 * KB, 160 * KB]),
         ]);
         let mut m = OnlineMonitor::new(
             model(),
@@ -572,8 +577,8 @@ mod tests {
             "only region 1 drifted"
         );
         let entries = m.current_rst().entries();
-        assert_eq!((entries[0].h(), entries[0].s()), (32 * KB, 160 * KB));
-        assert_eq!((entries[1].h(), entries[1].s()), (0, 64 * KB));
+        assert_eq!(entries[0].widths(), &[32 * KB, 160 * KB]);
+        assert_eq!(entries[1].widths(), &[0, 64 * KB]);
     }
 
     #[test]
@@ -583,8 +588,8 @@ mod tests {
         // the single-threaded run exactly.
         let run = |threads: usize| {
             let rst = crate::rst::RegionStripeTable::new(vec![
-                crate::rst::RstEntry::two(0, 512 << 20, 32 * KB, 160 * KB),
-                crate::rst::RstEntry::two(512 << 20, 512 << 20, 32 * KB, 160 * KB),
+                crate::rst::RstEntry::new(0, 512 << 20, vec![32 * KB, 160 * KB]),
+                crate::rst::RstEntry::new(512 << 20, 512 << 20, vec![32 * KB, 160 * KB]),
             ]);
             let mut cfg = OnlineConfig {
                 window: 64,
@@ -616,8 +621,8 @@ mod tests {
         // tables — the cache may only skip work, never change it.
         let run = |cache: usize| {
             let rst = crate::rst::RegionStripeTable::new(vec![
-                crate::rst::RstEntry::two(0, 512 << 20, 32 * KB, 160 * KB),
-                crate::rst::RstEntry::two(512 << 20, 512 << 20, 32 * KB, 160 * KB),
+                crate::rst::RstEntry::new(0, 512 << 20, vec![32 * KB, 160 * KB]),
+                crate::rst::RstEntry::new(512 << 20, 512 << 20, vec![32 * KB, 160 * KB]),
             ]);
             let cfg = OnlineConfig {
                 window: 64,
@@ -646,8 +651,8 @@ mod tests {
         // region-relative pattern. The second re-plan's search input
         // equals the first's, so it must come from the cache.
         let rst = crate::rst::RegionStripeTable::new(vec![
-            crate::rst::RstEntry::two(0, 512 << 20, 32 * KB, 160 * KB),
-            crate::rst::RstEntry::two(512 << 20, 512 << 20, 32 * KB, 160 * KB),
+            crate::rst::RstEntry::new(0, 512 << 20, vec![32 * KB, 160 * KB]),
+            crate::rst::RstEntry::new(512 << 20, 512 << 20, vec![32 * KB, 160 * KB]),
         ]);
         let cfg = OnlineConfig {
             window: 64,
@@ -680,7 +685,7 @@ mod tests {
         // Planned avg matches the live stream (no size drift), but the
         // initial layout is suboptimal for it and the served latencies are
         // far above prediction — only the residual path can catch this.
-        let rst = RegionStripeTable::single(1 << 30, 32 * KB, 160 * KB);
+        let rst = RegionStripeTable::uniform(1 << 30, vec![32 * KB, 160 * KB]);
         let recorder = std::sync::Arc::new(MemoryRecorder::new());
         let mut m = OnlineMonitor::new(
             model(),
@@ -718,8 +723,8 @@ mod tests {
         // Same suboptimal-layout setup, but served latency equals the
         // prediction exactly: without model error there is no drift signal,
         // so the monitor must stay quiet.
-        let reference = model();
-        let rst = RegionStripeTable::single(1 << 30, 32 * KB, 160 * KB);
+        let reference = CostKernel::new(&model());
+        let rst = RegionStripeTable::uniform(1 << 30, vec![32 * KB, 160 * KB]);
         let mut m = OnlineMonitor::new(
             model(),
             rst,
@@ -733,7 +738,7 @@ mod tests {
         for i in 0..256u64 {
             let offset = (i * 128 * KB) % (1 << 30);
             let predicted =
-                reference.request_cost(offset, 128 * KB, OpKind::Read, 32 * KB, 160 * KB);
+                reference.request_cost(offset, 128 * KB, OpKind::Read, &[32 * KB, 160 * KB]);
             let events = m.observe_served(rec(offset, 128 * KB), predicted);
             assert!(events.is_empty(), "accurate predictions must not drift");
         }
@@ -744,7 +749,7 @@ mod tests {
     fn mismatched_planned_avg_rejected() {
         OnlineMonitor::new(
             model(),
-            RegionStripeTable::single(1024, 4 * KB, 8 * KB),
+            RegionStripeTable::uniform(1024, vec![4 * KB, 8 * KB]),
             vec![],
             OnlineConfig::default(),
         );

@@ -3,12 +3,13 @@
 //!
 //! [`optimize_region`] dispatches on the model's class count: `K = 2` runs
 //! the paper's exhaustive grid below (bit-identical to the original
-//! two-tier optimizer); `K ≥ 3` runs the deterministic coordinate descent
-//! of [`crate::multiprofile::MultiProfileOptimizer`] under the same
-//! configuration. The rest of this doc describes the `K = 2` grid.
+//! two-tier optimizer); `K ≥ 3` runs the deterministic
+//! [`crate::multiprofile::coordinate_descent`] under the same
+//! configuration. Both score candidates through the one
+//! [`CostKernel`]. The rest of this doc describes the `K = 2` grid.
 //!
-//! For each region, grid-search the stripe pair `(h, s)` in `step` (4 KiB)
-//! increments, summing the cost-model prediction over the region's
+//! For each region, grid-search the stripe widths `[h, s]` in `step`
+//! (4 KiB) increments, summing the cost-model prediction over the region's
 //! requests, and keep the cheapest pair. Bounds follow the paper: `h` runs
 //! from 0 (no data on HServers — the Fig. 9 optimum) to the region's
 //! average request size `R̄`, and `s` from `h + step` upward ("s starts
@@ -25,7 +26,7 @@
 //!   paper bounds it by running off-line; the sample is deterministic).
 //!
 //! The candidate grid is chunked across `std::thread::scope` workers; ties
-//! break toward the lexicographically *largest* `(h, s)` (see
+//! break toward the lexicographically *largest* `[h, s]` (see
 //! `pick_better`: fewer stripe fragments, and the paper's Fig. 9 optima)
 //! so results are identical no matter how many threads run. Whole-file
 //! planning ([`crate::policy::HarlPolicy`]) and on-line re-planning
@@ -60,8 +61,8 @@
 //! true residues only then. A descending pair starts a new run.
 
 use crate::cast::{u64_to_usize, usize_to_u64};
-use crate::model::CostModelParams;
-use crate::multiprofile::{coordinate_descent, MultiProfileModel, MAX_SWEEPS};
+use crate::model::{ClassSpans, CostKernel, MultiProfileModel};
+use crate::multiprofile::coordinate_descent;
 use crate::trace::TraceRecord;
 use harl_simcore::{registry, SimContext};
 use serde::{Deserialize, Serialize};
@@ -100,16 +101,9 @@ impl OptimizerConfig {
     /// the configured step, raised so the axis has at most
     /// `max_grid_points` points.
     pub fn effective_step(&self, avg: u64) -> u64 {
-        effective_step(self.step, self.max_grid_points, avg)
+        let min_step = avg.div_ceil(usize_to_u64(self.max_grid_points.max(1)));
+        self.step * min_step.div_ceil(self.step).max(1)
     }
-}
-
-/// [`OptimizerConfig::effective_step`] on bare fields — the one step
-/// formula both the grid and the descent use.
-pub(crate) fn effective_step(step: u64, max_grid_points: usize, avg: u64) -> u64 {
-    let min_step = avg.div_ceil(usize_to_u64(max_grid_points.max(1)));
-    let steps_needed = min_step.div_ceil(step).max(1);
-    step * steps_needed
 }
 
 /// The chosen per-class stripe widths for one region, with the predicted
@@ -128,27 +122,14 @@ impl LayoutChoice {
     pub fn width(&self, class: usize) -> u64 {
         self.widths.get(class).copied().unwrap_or(0)
     }
-
-    /// HServer stripe size — `widths[0]` (two-tier reporting shorthand).
-    #[inline]
-    pub fn h(&self) -> u64 {
-        self.width(0)
-    }
-
-    /// SServer stripe size — `widths[1]` (two-tier reporting shorthand).
-    #[inline]
-    pub fn s(&self) -> u64 {
-        self.width(1)
-    }
 }
 
 /// A grid candidate of the `K = 2` exhaustive search (internal; the public
 /// result type is [`LayoutChoice`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct StripeChoice {
-    h: u64,
-    s: u64,
-    cost: f64,
+pub(crate) struct StripeChoice {
+    pub(crate) widths: [u64; 2],
+    pub(crate) cost: f64,
 }
 
 /// A borrowed view of a region's requests with offsets made
@@ -170,13 +151,14 @@ impl<'a> RegionRequests<'a> {
 
     /// Model cost of this region under per-class widths, summed over the
     /// (sampled) requests — exposed for baseline policies that search a
-    /// restricted candidate set. (The two-tier pair form `cost_of` lives
-    /// in `crate::compat`.)
+    /// restricted candidate set.
     pub fn cost_of_widths(&self, model: &MultiProfileModel, widths: &[u64], cap: usize) -> f64 {
+        let kernel = CostKernel::new(model);
+        let spans = kernel.spans(widths);
         crate::fold::sum_f64(
             self.sample(cap)
                 .iter()
-                .map(|&(o, r, op)| model.request_cost(o, r, op, widths)),
+                .map(|&(o, r, op)| kernel.cost(&spans, o, r, op)),
         )
     }
 
@@ -192,15 +174,15 @@ impl<'a> RegionRequests<'a> {
     }
 }
 
-/// Candidate `(h, s)` pairs for a given `R̄`, per Algorithm 2's loops plus
-/// the two extremes.
-fn candidates(avg: u64, step: u64, m: usize, n: usize) -> Vec<(u64, u64)> {
+/// Candidate widths `[h, s]` for a given `R̄` on a cluster of `[M, N]`
+/// servers, per Algorithm 2's loops plus the two extremes.
+pub(crate) fn candidates(avg: u64, step: u64, [m, n]: [usize; 2]) -> Vec<[u64; 2]> {
     let r_bar = avg.max(step).div_ceil(step) * step; // round up to the grid
     let mut out = Vec::new();
     if m == 0 {
         // No HServers: only the h = 0 column is meaningful.
         for s in (step..=r_bar).step_by(u64_to_usize(step)) {
-            out.push((0, s));
+            out.push([0, s]);
         }
         return out;
     }
@@ -210,35 +192,33 @@ fn candidates(avg: u64, step: u64, m: usize, n: usize) -> Vec<(u64, u64)> {
             // s > h per the paper's load-balance argument; the +step slack
             // makes h = R̄ evaluable (see module docs).
             if n > 0 {
-                out.push((h, s));
+                out.push([h, s]);
             }
             s += step;
         }
     }
-    if m > 0 {
-        // The "single HServer" extreme: all data on HServers at width R̄.
-        out.push((r_bar, 0));
-    }
+    // The "single HServer" extreme: all data on HServers at width R̄.
+    out.push([r_bar, 0]);
     // Drop pairs that would have zero total capacity on this cluster.
-    out.retain(|&(h, s)| usize_to_u64(m) * h + usize_to_u64(n) * s > 0);
+    out.retain(|&[h, s]| usize_to_u64(m) * h + usize_to_u64(n) * s > 0);
     out
 }
 
 /// Run Algorithm 2 for one region — the single layout-planning entry
 /// point, dispatching on the model's class count.
 ///
-/// * `K = 2` — the paper's exhaustive `(h, s)` grid, bit-identical to the
+/// * `K = 2` — the paper's exhaustive `[h, s]` grid, bit-identical to the
 ///   pre-generalisation optimizer (fig7-golden-guarded): ties break to the
-///   largest `(h, s)` (see `pick_better`).
+///   largest `[h, s]` (see `pick_better`).
 /// * `K ≥ 3` — deterministic coordinate descent
-///   ([`crate::MultiProfileOptimizer`]), sharing the step / grid-point / sample
+///   ([`crate::coordinate_descent`]), sharing the step / grid-point / sample
 ///   budget of the same [`OptimizerConfig`].
 ///
 /// `avg_request_size` is the region's `R̄` from Algorithm 1.
 ///
 /// When the context's recorder is enabled, the search additionally records
-/// the winning widths and their predicted cost under the `region` label
-/// (`harl.optimizer.*`; at `K = 2` the grid size too). The per-request
+/// the winning widths, their predicted cost and the number of candidates
+/// costed under the `region` label (`harl.optimizer.*`). The per-request
 /// predicted cost (`harl.model.predicted_request_cost_s`) is the
 /// "predicted" side of the model-drift residual tracked by
 /// [`crate::online::OnlineMonitor`]. Callers that plan a single region
@@ -253,45 +233,19 @@ pub fn optimize_region(
 ) -> LayoutChoice {
     let recorder = ctx.recorder();
     if !recorder.is_enabled() {
-        return optimize_region_sampled(model, requests, avg_request_size, cfg).0;
+        return search(model, requests, avg_request_size, cfg).0;
     }
     let start = std::time::Instant::now();
-    let (choice, sampled) = optimize_region_sampled(model, requests, avg_request_size, cfg);
+    let (choice, sampled, scored) = search(model, requests, avg_request_size, cfg);
     let wall = start.elapsed();
     let labels = [("region", region.to_string())];
-    if model.class_count() == 2 {
-        let step = cfg.effective_step(avg_request_size.max(1));
-        recorder.counter_add(
-            registry::HARL_OPTIMIZER_CANDIDATES.name,
-            &labels,
-            usize_to_u64(
-                candidates(
-                    avg_request_size,
-                    step,
-                    model.classes[0].count,
-                    model.classes[1].count,
-                )
-                .len(),
-            ),
-        );
+    recorder.counter_add(registry::HARL_OPTIMIZER_CANDIDATES.name, &labels, scored);
+    for (class, &w) in choice.widths.iter().enumerate() {
         recorder.gauge_set(
-            registry::HARL_OPTIMIZER_STRIPE_H.name,
-            &labels,
-            choice.h() as f64,
+            registry::HARL_OPTIMIZER_STRIPE_WIDTH.name,
+            &[("region", region.to_string()), ("class", class.to_string())],
+            w as f64,
         );
-        recorder.gauge_set(
-            registry::HARL_OPTIMIZER_STRIPE_S.name,
-            &labels,
-            choice.s() as f64,
-        );
-    } else {
-        for (class, &w) in choice.widths.iter().enumerate() {
-            recorder.gauge_set(
-                registry::HARL_OPTIMIZER_STRIPE_WIDTH.name,
-                &[("region", region.to_string()), ("class", class.to_string())],
-                w as f64,
-            );
-        }
     }
     recorder.observe_f64(
         registry::HARL_OPTIMIZER_PREDICTED_COST_S.name,
@@ -313,24 +267,27 @@ pub fn optimize_region(
     choice
 }
 
-/// [`optimize_region`] that also returns how many requests the evaluation
-/// sampled, so callers that need the count (e.g. for per-request metrics)
-/// don't have to re-materialise the sample.
-fn optimize_region_sampled(
+/// The search behind [`optimize_region`], without the recording: the
+/// choice, how many requests the evaluation sampled, and how many
+/// candidates it costed (pruned ones included).
+fn search(
     model: &MultiProfileModel,
     requests: &RegionRequests<'_>,
     avg_request_size: u64,
     cfg: &OptimizerConfig,
-) -> (LayoutChoice, usize) {
+) -> (LayoutChoice, usize, u64) {
     assert!(cfg.step > 0, "grid step must be positive");
     let step = cfg.effective_step(avg_request_size.max(1));
     let sample = requests.sample(cfg.max_requests_per_eval);
-    if model.class_count() != 2 {
-        let (widths, cost) = coordinate_descent(model, step, MAX_SWEEPS, &sample, avg_request_size);
-        return (LayoutChoice { widths, cost }, sample.len());
-    }
-    let pair = CostModelParams::from_multi(model.clone());
-    let cands = candidates(avg_request_size, step, pair.m(), pair.n());
+    let sampled = sample.len();
+    let [m, n] = match model.classes.as_slice() {
+        [h, s] => [h.count, s.count],
+        _ => {
+            let (choice, scored) = coordinate_descent(model, step, &sample, avg_request_size);
+            return (choice, sampled, scored);
+        }
+    };
+    let cands = candidates(avg_request_size, step, [m, n]);
     assert!(
         !cands.is_empty(),
         "no stripe candidates (cluster has no servers?)"
@@ -339,30 +296,26 @@ fn optimize_region_sampled(
     // a balanced default: the fixed stripe at R̄ (or one step).
     if sample.is_empty() {
         let w = avg_request_size.max(step).div_ceil(step) * step;
-        return (
-            LayoutChoice {
-                widths: vec![
-                    if pair.m() > 0 { w } else { 0 },
-                    if pair.n() > 0 { w } else { 0 },
-                ],
-                cost: 0.0,
-            },
-            0,
-        );
+        let choice = LayoutChoice {
+            widths: vec![if m > 0 { w } else { 0 }, if n > 0 { w } else { 0 }],
+            cost: 0.0,
+        };
+        return (choice, sampled, 0);
     }
 
+    let kernel = CostKernel::new(model);
+    let runs = strided_runs(&sample);
     let threads = cfg.threads.max(1).min(cands.len());
     let best = if threads == 1 {
-        best_of(&pair, &sample, &cands)
+        best_of(&kernel, &runs, &cands)
     } else {
         let chunk = cands.len().div_ceil(threads);
         let mut results: Vec<Option<StripeChoice>> = vec![None; threads];
         std::thread::scope(|scope| {
             for (slot, part) in results.iter_mut().zip(cands.chunks(chunk)) {
-                let sample = &sample;
-                let pair = &pair;
+                let (kernel, runs) = (&kernel, &runs);
                 scope.spawn(move || {
-                    *slot = Some(best_of(pair, sample, part));
+                    *slot = Some(best_of(kernel, runs, part));
                 });
             }
         });
@@ -371,20 +324,18 @@ fn optimize_region_sampled(
         // candidate under pick_better's ordering.
         results.into_iter().flatten().fold(
             StripeChoice {
-                h: 0,
-                s: 0,
+                widths: [0, 0],
                 cost: f64::INFINITY,
             },
             pick_better,
         )
     };
-    (
-        LayoutChoice {
-            widths: vec![best.h, best.s],
-            cost: best.cost,
-        },
-        sample.len(),
-    )
+    let choice = LayoutChoice {
+        widths: best.widths.to_vec(),
+        cost: best.cost,
+    };
+    // Every candidate's first residue is costed before any pruning.
+    (choice, sampled, usize_to_u64(cands.len()))
 }
 
 /// A maximal strided run of the sample: `count` requests of one `size`
@@ -450,29 +401,38 @@ pub(crate) fn strided_runs(sample: &[(u64, u64, harl_devices::OpKind)]) -> Vec<S
     runs
 }
 
+/// Greatest common divisor by Stein's binary algorithm: shifts and
+/// subtractions only, no division — it runs once per run for every
+/// candidate.
 fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
+    if a == 0 || b == 0 {
+        return a | b;
     }
-    a
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
 }
 
-fn best_of(
-    model: &CostModelParams,
-    sample: &[(u64, u64, harl_devices::OpKind)],
-    cands: &[(u64, u64)],
-) -> StripeChoice {
+fn best_of(kernel: &CostKernel, runs: &[StridedRun], cands: &[[u64; 2]]) -> StripeChoice {
     let mut best = StripeChoice {
-        h: 0,
-        s: 0,
+        widths: [0, 0],
         cost: f64::INFINITY,
     };
-    let runs = strided_runs(sample);
-    let startup = model.startup_table();
-    'cands: for &(h, s) in cands {
-        let group = usize_to_u64(model.m()) * h + usize_to_u64(model.n()) * s;
+    let mut spans = ClassSpans::default();
+    'cands: for &widths in cands {
+        kernel.place(&widths, &mut spans);
+        let group = spans.group();
         let mut cost = crate::fold::OrderedSum::new();
-        for run in &runs {
+        for run in runs {
             let (period, d) = run.cycle(group);
             let n = run.count;
             // Residue j of the cycle appears ⌈n/P⌉ times for j < n mod P
@@ -481,7 +441,7 @@ fn best_of(
             let mut r = run.o0 % group;
             for j in 0..period {
                 let mult = (whole + usize::from(j < extra)) as f64;
-                cost.add(mult * model.request_cost_with(&startup, r, run.size, run.op, h, s));
+                cost.add(mult * kernel.cost(&spans, r, run.size, run.op));
                 if cost.value() > best.cost {
                     continue 'cands; // cannot win, even on the tie-break
                 }
@@ -494,8 +454,7 @@ fn best_of(
         best = pick_better(
             best,
             StripeChoice {
-                h,
-                s,
+                widths,
                 cost: cost.value(),
             },
         );
@@ -504,7 +463,7 @@ fn best_of(
 }
 
 /// Deterministic comparison: strictly lower cost wins; ties break to the
-/// lexicographically *larger* `(h, s)`.
+/// lexicographically *larger* `[h, s]`.
 ///
 /// Ties are common: the model aggregates per-server bytes, so all stripe
 /// sizes that split a request identically across servers cost the same
@@ -516,8 +475,8 @@ fn best_of(
 // make the winner depend on evaluation order and break bit-determinism
 // across thread counts.
 #[allow(clippy::float_cmp)]
-fn pick_better(a: StripeChoice, b: StripeChoice) -> StripeChoice {
-    if b.cost < a.cost || (b.cost == a.cost && (b.h, b.s) > (a.h, a.s)) {
+pub(crate) fn pick_better(a: StripeChoice, b: StripeChoice) -> StripeChoice {
+    if b.cost < a.cost || (b.cost == a.cost && b.widths > a.widths) {
         b
     } else {
         a
@@ -574,8 +533,8 @@ mod tests {
 
     const KB: u64 = 1024;
 
-    fn model() -> CostModelParams {
-        CostModelParams::from_cluster(&ClusterConfig::paper_default())
+    fn model() -> MultiProfileModel {
+        MultiProfileModel::from_cluster(&ClusterConfig::paper_default())
     }
 
     fn recs(n: usize, size: u64, op: OpKind) -> Vec<TraceRecord> {
@@ -604,16 +563,16 @@ mod tests {
         };
         let choice = optimize_region(&SimContext::new(), &m, &reqs, 512 * KB, &cfg, 0);
         assert!(
-            choice.h() > 0 && choice.h() <= 64 * KB,
+            choice.width(0) > 0 && choice.width(0) <= 64 * KB,
             "h = {} out of expected band",
-            choice.h()
+            choice.width(0)
         );
         assert!(
-            choice.s() >= 96 * KB,
+            choice.width(1) >= 96 * KB,
             "s = {} should be far larger than h",
-            choice.s()
+            choice.width(1)
         );
-        assert!(choice.s() > choice.h());
+        assert!(choice.width(1) > choice.width(0));
     }
 
     #[test]
@@ -630,8 +589,8 @@ mod tests {
             &OptimizerConfig::default(),
             0,
         );
-        assert_eq!(choice.h(), 0, "expected SServer-only, got {choice:?}");
-        assert_eq!(choice.s(), 64 * KB);
+        assert_eq!(choice.width(0), 0, "expected SServer-only, got {choice:?}");
+        assert_eq!(choice.width(1), 64 * KB);
     }
 
     #[test]
@@ -658,8 +617,18 @@ mod tests {
         // SServer writes are slower, so the write optimum shifts load back
         // toward HServers (s_w <= s_r) — as in the paper ({36K,148K} vs
         // {32K,160K}).
-        assert!(w.s() <= r.s(), "write s {} vs read s {}", w.s(), r.s());
-        assert!(w.h() >= r.h(), "write h {} vs read h {}", w.h(), r.h());
+        assert!(
+            w.width(1) <= r.width(1),
+            "write s {} vs read s {}",
+            w.width(1),
+            r.width(1)
+        );
+        assert!(
+            w.width(0) >= r.width(0),
+            "write h {} vs read h {}",
+            w.width(0),
+            r.width(0)
+        );
     }
 
     #[test]
@@ -704,15 +673,11 @@ mod tests {
             threads: 1,
         };
         let choice = optimize_region(&SimContext::new(), &m, &reqs, 64 * KB, &cfg, 0);
-        let sample: Vec<_> = trace.iter().map(|r| (r.offset, r.size, r.op)).collect();
-        for (h, s) in candidates(64 * KB, 16 * KB, m.m(), m.n()) {
-            let c: f64 = sample
-                .iter()
-                .map(|&(o, r, op)| m.request_cost(o, r, op, h, s))
-                .sum();
+        for widths in candidates(64 * KB, 16 * KB, [6, 2]) {
+            let c = reqs.cost_of_widths(&m, &widths, 16);
             assert!(
                 c >= choice.cost - 1e-15,
-                "candidate ({h},{s}) cost {c} beats chosen {}",
+                "candidate {widths:?} cost {c} beats chosen {}",
                 choice.cost
             );
         }
@@ -776,6 +741,21 @@ mod tests {
             .collect();
         assert_eq!(replayed, sample);
         assert_eq!(runs.len(), 40 + 2, "descending: one run per request");
+    }
+
+    #[test]
+    fn binary_gcd_matches_euclid() {
+        let euclid = |mut a: u64, mut b: u64| {
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            a
+        };
+        for a in (0..200u64).chain([4096, 1 << 20, 3 << 40, u64::MAX]) {
+            for b in (0..64u64).chain([24 * KB, 160 * KB, 1 << 63]) {
+                assert_eq!(gcd(a, b), euclid(a, b), "gcd({a}, {b})");
+            }
+        }
     }
 
     #[test]
@@ -850,12 +830,45 @@ mod tests {
 
     #[test]
     fn candidates_include_extremes() {
-        let c = candidates(64 * KB, 16 * KB, 6, 2);
-        assert!(c.contains(&(0, 16 * KB)), "SServer-only start");
-        assert!(c.contains(&(64 * KB, 0)), "single-HServer extreme");
-        assert!(c.contains(&(64 * KB, 64 * KB + 16 * KB)), "h = R̄ evaluable");
-        // s always strictly greater than h except the (R̄, 0) extreme.
-        assert!(c.iter().all(|&(h, s)| s > h || s == 0));
+        let c = candidates(64 * KB, 16 * KB, [6, 2]);
+        assert!(c.contains(&[0, 16 * KB]), "SServer-only start");
+        assert!(c.contains(&[64 * KB, 0]), "single-HServer extreme");
+        assert!(c.contains(&[64 * KB, 64 * KB + 16 * KB]), "h = R̄ evaluable");
+        // s always strictly greater than h except the [R̄, 0] extreme.
+        assert!(c.iter().all(|&[h, s]| s > h || s == 0));
+    }
+
+    /// `harl.optimizer.candidates` after planning one region of `records`.
+    fn candidates_counted(model: &MultiProfileModel, records: &[TraceRecord], avg: u64) -> u64 {
+        let recorder = std::sync::Arc::new(harl_simcore::MemoryRecorder::new());
+        let cfg = OptimizerConfig {
+            step: 16 * KB,
+            threads: 2,
+            ..OptimizerConfig::default()
+        };
+        let reqs = RegionRequests::new(records, 0);
+        let ctx = SimContext::recorded(recorder.clone());
+        optimize_region(&ctx, model, &reqs, avg, &cfg, 0);
+        recorder.counter_value(
+            registry::HARL_OPTIMIZER_CANDIDATES.name,
+            &[("region", "0".to_string())],
+        )
+    }
+
+    #[test]
+    fn candidate_counter_counts_scored_candidates_on_both_paths() {
+        // K = 2: every grid candidate is costed (at least its first
+        // residue) — h ∈ {0..64K} × s ∈ (h, 80K] on a 16 KiB grid is
+        // 5 + 4 + 3 + 2 + 1 pairs, plus the [R̄, 0] extreme.
+        let trace = recs(16, 64 * KB, OpKind::Read);
+        assert_eq!(candidates_counted(&model(), &trace, 64 * KB), 16);
+        // Nothing to cost in an empty region.
+        assert_eq!(candidates_counted(&model(), &[], 64 * KB), 0);
+        // K = 3: every descent evaluation, pruned ones included.
+        let three = MultiProfileModel::from_cluster(
+            &ClusterConfig::hybrid(4, 2).with_extra_class(2, harl_devices::nvme_2020_preset()),
+        );
+        assert_eq!(candidates_counted(&three, &trace, 64 * KB), 203);
     }
 
     #[test]
@@ -886,12 +899,9 @@ mod tests {
 
     #[test]
     fn hserver_only_cluster_still_works() {
-        let m = CostModelParams::new(
-            4,
-            0,
+        let m = MultiProfileModel::new(
             &NetworkProfile::gigabit_ethernet(),
-            &hdd_2015_preset(),
-            &ssd_2015_preset(),
+            vec![(4, hdd_2015_preset()), (0, ssd_2015_preset())],
         );
         let trace = recs(16, 256 * KB, OpKind::Read);
         let reqs = RegionRequests::new(&trace, 0);
@@ -903,7 +913,7 @@ mod tests {
             &OptimizerConfig::default(),
             0,
         );
-        assert!(choice.h() > 0);
+        assert!(choice.width(0) > 0);
         assert!(choice.cost.is_finite());
     }
 }

@@ -16,7 +16,7 @@
 //! * [`HarlPolicy`] — the paper's contribution: Algorithm 1 region
 //!   division + Algorithm 2 per-region width optimisation + RST merge.
 
-use crate::multiprofile::MultiProfileModel;
+use crate::model::MultiProfileModel;
 use crate::optimizer::{optimize_region, OptimizerConfig, RegionRequests};
 use crate::region::RegionDivisionConfig;
 use crate::rst::{RegionStripeTable, RstEntry};
@@ -219,9 +219,9 @@ pub struct ServerLevelPolicy {
 
 impl ServerLevelPolicy {
     /// Server-level policy with default optimizer settings.
-    pub fn new(model: impl Into<MultiProfileModel>) -> Self {
+    pub fn new(model: MultiProfileModel) -> Self {
         ServerLevelPolicy {
-            model: model.into(),
+            model,
             optimizer: OptimizerConfig::default(),
         }
     }
@@ -253,7 +253,7 @@ impl LayoutPolicy for ServerLevelPolicy {
 #[derive(Debug, Clone)]
 pub struct HarlPolicy {
     /// Platform model (ideally calibrated — see
-    /// [`crate::model::CostModelParams::from_cluster_calibrated`]).
+    /// [`MultiProfileModel::from_cluster_calibrated`]).
     pub model: MultiProfileModel,
     /// Region-division tuning (Algorithm 1).
     pub division: RegionDivisionConfig,
@@ -263,9 +263,9 @@ pub struct HarlPolicy {
 
 impl HarlPolicy {
     /// HARL with default tuning for the given model.
-    pub fn new(model: impl Into<MultiProfileModel>) -> Self {
+    pub fn new(model: MultiProfileModel) -> Self {
         HarlPolicy {
-            model: model.into(),
+            model,
             division: RegionDivisionConfig::default(),
             optimizer: OptimizerConfig::default(),
         }
@@ -297,7 +297,7 @@ impl LayoutPolicy for HarlPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::CostModelParams;
+    use crate::model::MultiProfileModel;
     use crate::trace::TraceRecord;
     use harl_devices::OpKind;
     use harl_pfs::ClusterConfig;
@@ -321,8 +321,8 @@ mod tests {
         )
     }
 
-    fn model() -> CostModelParams {
-        CostModelParams::from_cluster(&ClusterConfig::paper_default())
+    fn model() -> MultiProfileModel {
+        MultiProfileModel::from_cluster(&ClusterConfig::paper_default())
     }
 
     #[test]
@@ -330,8 +330,8 @@ mod tests {
         let t = uniform_trace(8, 512 * KB, OpKind::Read);
         let rst = FixedPolicy::new(64 * KB).plan(&SimContext::new(), &t, 16 * MB);
         assert_eq!(rst.len(), 1);
-        assert_eq!(rst.entries()[0].h(), 64 * KB);
-        assert_eq!(rst.entries()[0].s(), 64 * KB);
+        assert_eq!(rst.entries()[0].width(0), 64 * KB);
+        assert_eq!(rst.entries()[0].width(1), 64 * KB);
         assert_eq!(FixedPolicy::new(64 * KB).label(), "64K");
     }
 
@@ -350,7 +350,8 @@ mod tests {
         assert_eq!(a, b);
         let c = RandomPolicy::new(8).plan(&SimContext::new(), &t, MB);
         assert!(
-            a.entries()[0].h() != c.entries()[0].h() || a.entries()[0].s() != c.entries()[0].s(),
+            a.entries()[0].width(0) != c.entries()[0].width(0)
+                || a.entries()[0].width(1) != c.entries()[0].width(1),
             "different seeds should (almost surely) differ"
         );
     }
@@ -385,7 +386,10 @@ mod tests {
         let rst = policy.plan(&SimContext::new(), &t, 128 * 512 * KB);
         assert_eq!(rst.len(), 1, "uniform workload should merge to 1 region");
         let e = &rst.entries()[0];
-        assert!(e.s() > e.h(), "SServers must get the larger stripe");
+        assert!(
+            e.width(1) > e.width(0),
+            "SServers must get the larger stripe"
+        );
     }
 
     #[test]
@@ -423,7 +427,7 @@ mod tests {
         let first = &rst.entries()[0];
         let last = rst.entries().last().unwrap();
         assert!(
-            first.h() < last.h() || first.s() < last.s(),
+            first.width(0) < last.width(0) || first.width(1) < last.width(1),
             "phases should get different layouts: {first:?} vs {last:?}"
         );
     }
@@ -478,17 +482,11 @@ mod tests {
         let t = uniform_trace(64, 512 * KB, OpKind::Read);
         let file_size = 64 * 512 * KB;
         let harl = HarlPolicy::new(m.clone()).plan(&SimContext::new(), &t, file_size);
-        let he = &harl.entries()[0];
         let sorted = t.sorted_by_offset();
-        let harl_cost: f64 = sorted
-            .iter()
-            .map(|r| m.request_cost(r.offset, r.size, r.op, he.h(), he.s()))
-            .sum();
+        let reqs = RegionRequests::new(&sorted, 0);
+        let harl_cost = reqs.cost_of_widths(&m, harl.entries()[0].widths(), sorted.len());
         for stripe in [16 * KB, 64 * KB, 256 * KB, MB] {
-            let fixed_cost: f64 = sorted
-                .iter()
-                .map(|r| m.request_cost(r.offset, r.size, r.op, stripe, stripe))
-                .sum();
+            let fixed_cost = reqs.cost_of_widths(&m, &[stripe, stripe], sorted.len());
             assert!(
                 harl_cost <= fixed_cost + 1e-12,
                 "HARL cost {harl_cost} beaten by fixed {stripe}: {fixed_cost}"
@@ -500,7 +498,7 @@ mod tests {
     fn segment_policy_uniform_stripes() {
         let t = uniform_trace(64, 512 * KB, OpKind::Read);
         let policy = SegmentPolicy {
-            model: model().into(),
+            model: model(),
             segment_size: 8 * MB,
             optimizer: OptimizerConfig {
                 threads: 1,
@@ -509,7 +507,11 @@ mod tests {
         };
         let rst = policy.plan(&SimContext::new(), &t, 32 * MB);
         for e in rst.entries() {
-            assert_eq!(e.h(), e.s(), "segment-level layout is heterogeneity-blind");
+            assert_eq!(
+                e.width(0),
+                e.width(1),
+                "segment-level layout is heterogeneity-blind"
+            );
         }
         assert_eq!(rst.file_size(), 32 * MB);
     }
@@ -544,14 +546,17 @@ mod tests {
         // One region for the whole file, but stripes differ per class.
         assert_eq!(rst.len(), 1);
         let e = &rst.entries()[0];
-        assert!(e.s() > e.h(), "server-level must still favour SServers");
+        assert!(
+            e.width(1) > e.width(0),
+            "server-level must still favour SServers"
+        );
     }
 
     #[test]
     fn labels() {
         assert_eq!(HarlPolicy::new(model()).label(), "HARL");
         let seg = SegmentPolicy {
-            model: model().into(),
+            model: model(),
             segment_size: 64 * MB,
             optimizer: OptimizerConfig::default(),
         };

@@ -24,9 +24,8 @@ use std::path::Path;
 /// size per server class — plus the region length, which Fig. 6 leaves
 /// implicit in the next row's offset).
 ///
-/// Rows are constructed through [`RstEntry::new`] (or the legacy two-tier
-/// [`RstEntry::two`](crate::compat)); the widths vector is not directly
-/// assignable so every row goes through the same shape.
+/// Rows are constructed through [`RstEntry::new`]; the widths vector is
+/// not directly assignable so every row goes through the same shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RstEntry {
     /// First byte of the region in the logical file.
@@ -360,9 +359,9 @@ mod tests {
     fn table() -> RegionStripeTable {
         // The example of paper Fig. 6 (lengths inferred from offsets).
         RegionStripeTable::new(vec![
-            RstEntry::two(0, 128 << 20, 16 * 1024, 64 * 1024),
-            RstEntry::two(128 << 20, 64 << 20, 36 * 1024, 144 * 1024),
-            RstEntry::two(192 << 20, 64 << 20, 26 * 1024, 80 * 1024),
+            RstEntry::new(0, 128 << 20, vec![16 * 1024, 64 * 1024]),
+            RstEntry::new(128 << 20, 64 << 20, vec![36 * 1024, 144 * 1024]),
+            RstEntry::new(192 << 20, 64 << 20, vec![26 * 1024, 80 * 1024]),
         ])
     }
 
@@ -407,9 +406,9 @@ mod tests {
     #[test]
     fn merge_adjacent_same_stripes() {
         let mut t = RegionStripeTable::new(vec![
-            RstEntry::two(0, 100, 4, 8),
-            RstEntry::two(100, 50, 4, 8),
-            RstEntry::two(150, 50, 16, 8),
+            RstEntry::new(0, 100, vec![4, 8]),
+            RstEntry::new(100, 50, vec![4, 8]),
+            RstEntry::new(150, 50, vec![16, 8]),
         ]);
         t.merge_adjacent();
         assert_eq!(t.len(), 2);
@@ -430,22 +429,22 @@ mod tests {
     #[should_panic(expected = "tile contiguously")]
     fn gaps_rejected() {
         RegionStripeTable::new(vec![
-            RstEntry::two(0, 10, 1, 1),
-            RstEntry::two(20, 10, 1, 1),
+            RstEntry::new(0, 10, vec![1, 1]),
+            RstEntry::new(20, 10, vec![1, 1]),
         ]);
     }
 
     #[test]
     #[should_panic(expected = "no capacity")]
     fn zero_capacity_region_rejected() {
-        RegionStripeTable::new(vec![RstEntry::two(0, 10, 0, 0)]);
+        RegionStripeTable::new(vec![RstEntry::new(0, 10, vec![0, 0])]);
     }
 
     #[test]
     #[should_panic(expected = "disagree on class count")]
     fn mixed_class_counts_rejected() {
         RegionStripeTable::new(vec![
-            RstEntry::two(0, 10, 1, 1),
+            RstEntry::new(0, 10, vec![1, 1]),
             RstEntry::new(10, 10, vec![1, 1, 1]),
         ]);
     }
@@ -493,7 +492,7 @@ mod tests {
     fn two_class_rows_keep_legacy_json_shape() {
         // The exact key set and order the pre-widths builds wrote: tables
         // and goldens on disk must stay byte-identical.
-        let e = RstEntry::two(0, 1024, 4, 8);
+        let e = RstEntry::new(0, 1024, vec![4, 8]);
         let json = serde_json::to_string(&e).unwrap();
         assert_eq!(json, r#"{"offset":0,"len":1024,"h":4,"s":8}"#);
         let back: RstEntry = serde_json::from_str(&json).unwrap();
@@ -545,7 +544,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("rst-gapped.json");
         let gapped = RegionStripeTable {
-            entries: vec![RstEntry::two(0, 10, 1, 1), RstEntry::two(20, 10, 1, 1)],
+            entries: vec![
+                RstEntry::new(0, 10, vec![1, 1]),
+                RstEntry::new(20, 10, vec![1, 1]),
+            ],
         };
         std::fs::write(&path, serde_json::to_string_pretty(&gapped).unwrap()).unwrap();
         let err = RegionStripeTable::load_from_path(&path).unwrap_err();
@@ -566,7 +568,10 @@ mod tests {
     fn metadata_scales_with_regions_and_classes() {
         let t = table();
         assert_eq!(t.metadata_bytes(), 3 * 32);
-        assert_eq!(RegionStripeTable::single(1024, 4, 8).metadata_bytes(), 32);
+        assert_eq!(
+            RegionStripeTable::uniform(1024, vec![4, 8]).metadata_bytes(),
+            32
+        );
         // A third tier widens every row by one u64.
         let three = RegionStripeTable::uniform(1024, vec![4, 8, 16]);
         assert_eq!(three.metadata_bytes(), 40);
@@ -574,7 +579,7 @@ mod tests {
 
     #[test]
     fn single_region_table() {
-        let t = RegionStripeTable::single(1 << 30, 64 * 1024, 64 * 1024);
+        let t = RegionStripeTable::uniform(1 << 30, vec![64 * 1024, 64 * 1024]);
         assert_eq!(t.len(), 1);
         assert_eq!(t.file_size(), 1 << 30);
     }

@@ -4,7 +4,7 @@
 //! the full re-plan exactly.
 
 use harl_core::{
-    fingerprint_sorted, plan_file, CostModelParams, MultiProfileModel, OptimizerConfig, PlanReuse,
+    fingerprint_sorted, plan_file, MultiProfileModel, OptimizerConfig, PlanReuse,
     RegionDivisionConfig, TraceRecord,
 };
 use harl_devices::OpKind;
@@ -13,7 +13,7 @@ use harl_simcore::{SimContext, SimNanos};
 use proptest::prelude::*;
 
 fn model() -> MultiProfileModel {
-    CostModelParams::from_cluster(&ClusterConfig::paper_default()).into()
+    MultiProfileModel::from_cluster(&ClusterConfig::paper_default())
 }
 
 prop_compose! {

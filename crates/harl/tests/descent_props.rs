@@ -5,12 +5,15 @@
 //! pruning of the `K = 2` grid. Neither may move a result: the oracle
 //! below is the straightforward descent — every candidate costed as a
 //! left fold of `request_cost` over the whole sample, every grid point
-//! evaluated — and both must return the same widths and the same cost
-//! bits, on ascending, descending, random and mixed samples, for
-//! K ∈ {2, 3, 4} including zero-count classes.
+//! evaluated, each with the plain per-request formula — and both must
+//! return the same widths and the same cost bits, on ascending,
+//! descending, random and mixed samples, for K ∈ {2, 3, 4} including
+//! zero-count classes.
+
+mod oracle;
 
 use harl_core::{
-    optimize_region, MultiProfileModel, MultiProfileOptimizer, OptimizerConfig, RegionRequests,
+    coordinate_descent, optimize_region, MultiProfileModel, OptimizerConfig, RegionRequests,
     TraceRecord,
 };
 use harl_devices::{
@@ -24,18 +27,11 @@ type Sample = Vec<(u64, u64, OpKind)>;
 
 /// The descent as a plain per-request search: no run decomposition, no
 /// pruning, no incumbent skip.
-mod oracle {
+mod plain {
     use super::*;
+    use crate::oracle::total_cost;
 
-    fn total_cost(model: &MultiProfileModel, sample: &[(u64, u64, OpKind)], widths: &[u64]) -> f64 {
-        harl_core::fold::sum_f64(
-            sample
-                .iter()
-                .map(|&(o, r, op)| model.request_cost(o, r, op, widths)),
-        )
-    }
-
-    fn effective_step(step: u64, max_grid_points: usize, avg: u64) -> u64 {
+    pub fn effective_step(step: u64, max_grid_points: usize, avg: u64) -> u64 {
         let min_step = avg.div_ceil(max_grid_points.max(1) as u64);
         step * min_step.div_ceil(step).max(1)
     }
@@ -279,12 +275,10 @@ fn avg(sample: &[(u64, u64, OpKind)]) -> u64 {
 
 fn check(model: MultiProfileModel, sample: &[(u64, u64, OpKind)]) -> Result<(), String> {
     let avg = avg(sample);
-    let (want_w, want_c) = oracle::optimize(&model, STEP, GRID_POINTS, SWEEPS, sample, avg);
-    let mut opt = MultiProfileOptimizer::new(model);
-    opt.step = STEP;
-    opt.max_grid_points = GRID_POINTS;
-    opt.max_sweeps = SWEEPS;
-    let (got_w, got_c) = opt.optimize(sample, avg);
+    let (want_w, want_c) = plain::optimize(&model, STEP, GRID_POINTS, SWEEPS, sample, avg);
+    let step = plain::effective_step(STEP, GRID_POINTS, avg);
+    let (got, _) = coordinate_descent(&model, step, sample, avg);
+    let (got_w, got_c) = (got.widths, got.cost);
     prop_assert_eq!(&got_w, &want_w);
     prop_assert_eq!(
         got_c.to_bits(),
@@ -319,8 +313,7 @@ proptest! {
         check(model, &sample)?;
     }
 
-    /// The planner's `K ≥ 3` arm borrows the model instead of building a
-    /// [`MultiProfileOptimizer`]; it must land on the same bits too.
+    /// The planner's `K ≥ 3` arm must land on the same bits too.
     #[test]
     fn optimize_region_matches_oracle(model in model_k(3), sample in mixed()) {
         let records: Vec<TraceRecord> = sample
@@ -349,7 +342,7 @@ proptest! {
             &cfg,
             0,
         );
-        let (widths, cost) = oracle::optimize(&model, STEP, GRID_POINTS, SWEEPS, &sample, avg);
+        let (widths, cost) = plain::optimize(&model, STEP, GRID_POINTS, SWEEPS, &sample, avg);
         prop_assert_eq!(&choice.widths, &widths);
         prop_assert_eq!(choice.cost.to_bits(), cost.to_bits());
     }
@@ -372,13 +365,10 @@ fn zero_count_class_under_descending_run_matches_oracle() {
         .map(|j| (j * 700 * 1024, 700 * 1024, OpKind::Read))
         .collect();
     let avg = avg(&sample);
-    let (want_w, want_c) = oracle::optimize(&model, STEP, GRID_POINTS, SWEEPS, &sample, avg);
-    let (got_w, got_c) = MultiProfileOptimizer {
-        step: STEP,
-        max_grid_points: GRID_POINTS,
-        ..MultiProfileOptimizer::new(model)
-    }
-    .optimize(&sample, avg);
+    let (want_w, want_c) = plain::optimize(&model, STEP, GRID_POINTS, SWEEPS, &sample, avg);
+    let step = plain::effective_step(STEP, GRID_POINTS, avg);
+    let (got, _) = coordinate_descent(&model, step, &sample, avg);
+    let (got_w, got_c) = (got.widths, got.cost);
     assert_eq!(got_w[1], 0);
     assert_eq!(got_w, want_w);
     assert_eq!(got_c.to_bits(), want_c.to_bits());

@@ -2,17 +2,20 @@
 //! arbitrary small workloads (brute-force verified), and the region
 //! division invariants hold for adversarial inputs.
 
+mod oracle;
+
 use harl_core::{
-    optimize_region, server_loads, server_loads_scan, CostModelParams, MultiProfileModel,
-    MultiProfileOptimizer, OptimizerConfig, RegionRequests, TraceRecord,
+    coordinate_descent, optimize_region, server_loads, MultiProfileModel, OptimizerConfig,
+    RegionRequests, TraceRecord,
 };
 use harl_devices::OpKind;
 use harl_pfs::ClusterConfig;
 use harl_simcore::{SimContext, SimNanos};
+use oracle::{server_loads_scan, total_cost};
 use proptest::prelude::*;
 
-fn model() -> CostModelParams {
-    CostModelParams::from_cluster(&ClusterConfig::paper_default())
+fn model() -> MultiProfileModel {
+    MultiProfileModel::from_cluster(&ClusterConfig::paper_default())
 }
 
 prop_compose! {
@@ -52,37 +55,33 @@ proptest! {
         let reqs = RegionRequests::new(&records, 0);
         let choice = optimize_region(&SimContext::new(), &m, &reqs, avg, &cfg, 0);
 
-        // Brute force over the same candidate set.
+        // Brute force over the same candidate set, with the plain formula.
+        let sample: Vec<(u64, u64, OpKind)> =
+            records.iter().map(|r| (r.offset, r.size, r.op)).collect();
         let step = cfg.effective_step(avg);
         let r_bar = avg.max(step).div_ceil(step) * step;
         let mut h = 0u64;
         while h <= r_bar {
             let mut s = h + step;
             while s <= r_bar + step {
-                let cost: f64 = records.iter()
-                    .map(|r| m.request_cost(r.offset, r.size, r.op, h, s))
-                    .sum();
+                let cost = total_cost(&m, &sample, &[h, s]);
                 prop_assert!(
                     cost >= choice.cost - 1e-12,
-                    "candidate ({h}, {s}) cost {cost} beats chosen ({}, {}) cost {}",
-                    choice.h(), choice.s(), choice.cost
+                    "candidate ({h}, {s}) cost {cost} beats chosen {:?} cost {}",
+                    choice.widths, choice.cost
                 );
                 s += step;
             }
             h += step;
         }
         // The single-HServer extreme too.
-        let cost: f64 = records.iter()
-            .map(|r| m.request_cost(r.offset, r.size, r.op, r_bar, 0))
-            .sum();
-        prop_assert!(cost >= choice.cost - 1e-12);
+        prop_assert!(total_cost(&m, &sample, &[r_bar, 0]) >= choice.cost - 1e-12);
     }
 
     /// On a two-class cluster, the K-class coordinate descent and the
     /// paper's exhaustive K=2 grid agree: for arbitrary small workloads
     /// the descent cost lands within 5% of the grid minimum (it can stop
-    /// at a nearby local optimum but never drifts), and the widths-form
-    /// cost of the grid's own choice is bitwise the pair-form cost.
+    /// at a nearby local optimum but never drifts).
     #[test]
     fn descent_agrees_with_grid_on_two_classes(records in small_workload()) {
         let m = model();
@@ -97,33 +96,21 @@ proptest! {
         let reqs = RegionRequests::new(&records, 0);
         let choice = optimize_region(&SimContext::new(), &m, &reqs, avg, &cfg, 0);
 
-        // Bitwise pair/widths agreement at the chosen point (tentpole
-        // bit-identity: the widths form is the same arithmetic).
-        let multi = MultiProfileModel::from(&m);
-        for r in &records {
-            let pair = m.request_cost(r.offset, r.size, r.op, choice.h(), choice.s());
-            let widths = multi.request_cost(r.offset, r.size, r.op, &[choice.h(), choice.s()]);
-            prop_assert_eq!(pair.to_bits(), widths.to_bits(),
-                "pair {pair} vs widths {widths} at ({}, {})", choice.h(), choice.s());
-        }
-
-        let mut opt = MultiProfileOptimizer::new(multi);
-        opt.step = cfg.step;
-        opt.max_grid_points = cfg.max_grid_points;
         let sample: Vec<(u64, u64, OpKind)> =
             records.iter().map(|r| (r.offset, r.size, r.op)).collect();
-        let (widths, cost) = opt.optimize(&sample, avg);
+        let (descent, _) = coordinate_descent(&m, cfg.effective_step(avg), &sample, avg);
+        let (widths, cost) = (descent.widths, descent.cost);
         prop_assert_eq!(widths.len(), 2);
         prop_assert!(
             cost <= choice.cost * 1.05 + 1e-9,
-            "descent cost {cost} is >5% above grid minimum {g} (widths {widths:?} vs ({}, {}))",
-            choice.h(), choice.s(), g = choice.cost
+            "descent cost {cost} is >5% above grid minimum {g} (widths {widths:?} vs {:?})",
+            choice.widths, g = choice.cost
         );
         prop_assert!(
             choice.cost <= cost * 1.05 + 1e-9,
             "grid minimum {g} is >5% above descent cost {cost} — descent escaped the grid \
-             candidate set (widths {widths:?} vs ({}, {}))",
-            choice.h(), choice.s(), g = choice.cost
+             candidate set (widths {widths:?} vs {:?})",
+            choice.widths, g = choice.cost
         );
     }
 

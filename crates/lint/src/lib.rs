@@ -17,7 +17,6 @@
 //! | `simcontext-first` | everywhere | `&SimContext` is the first non-self arg |
 //! | `recorded-twins` | everywhere | no `*_recorded` API resurrection |
 //! | `metric-registry` | everywhere but `registry.rs` | no quoted metric names at Recorder calls |
-//! | `two-tier-hygiene` | everywhere but `compat.rs` | no new `(h: u64, s: u64)` pair parameters |
 //! | `map-iteration-order` | simulated-time crates | no HashMap/HashSet iteration without ordering |
 //! | `unordered-parallel-merge` | simulated-time crates | parallel results merge in canonical key order |
 //! | `float-accumulation` | `crates/harl` (minus `fold.rs`) | f64 accumulation via `harl::fold` helpers |
@@ -142,9 +141,6 @@ pub fn scan_source(path: &str, source: &str) -> Vec<Finding> {
     if !path.ends_with("registry.rs") {
         rules::metric_registry(path, &toks, &mask, &lines, &mut out);
     }
-    if !path.ends_with("compat.rs") {
-        rules::two_tier_hygiene(path, &toks, &mask, &lines, &mut out);
-    }
     out
 }
 
@@ -191,7 +187,6 @@ pub fn run(root: &Path, allow_path: &Path) -> Result<Report, String> {
         rules::RULE_SIMCONTEXT,
         rules::RULE_RECORDED,
         rules::RULE_METRIC,
-        rules::RULE_TWO_TIER,
         rules::RULE_MAP_ITER,
         rules::RULE_PAR_MERGE,
         rules::RULE_FLOAT_ACC,
@@ -418,7 +413,6 @@ mod tests {
             rules::RULE_SIMCONTEXT,
             rules::RULE_RECORDED,
             rules::RULE_METRIC,
-            rules::RULE_TWO_TIER,
             rules::RULE_MAP_ITER,
             rules::RULE_PAR_MERGE,
             rules::RULE_FLOAT_ACC,

@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 
 use crate::graph::Graph;
 use crate::lexer::{Tok, TokKind};
-use crate::rules::{push, RULE_FLOAT_ACC, RULE_MAP_ITER, RULE_PAR_MERGE};
+use crate::rules::{matching_paren, push, RULE_FLOAT_ACC, RULE_MAP_ITER, RULE_PAR_MERGE};
 use crate::Finding;
 
 /// A `for`/`while`/`loop` construct inside a function body:
@@ -95,23 +95,6 @@ fn matching_brace(toks: &[Tok], open: usize, hi: usize) -> usize {
         }
     }
     hi.saturating_sub(1)
-}
-
-fn matching_paren(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0i64;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        match t.text.as_str() {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
-            }
-            _ => {}
-        }
-    }
-    toks.len().saturating_sub(1)
 }
 
 /// Bounds `[start, end)` of the statement containing `toks[at]`, clamped

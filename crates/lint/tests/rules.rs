@@ -138,26 +138,6 @@ fn findings_carry_location_and_snippet() {
     assert!(f.snippet.contains("as usize"), "{}", f.snippet);
 }
 
-#[test]
-fn two_tier_hygiene_fires() {
-    let rules = rules_at(LIB_PATH, "two_tier_fire.rs");
-    // A free fn and a &mut self method, each with the adjacent pair.
-    assert_eq!(count(&rules, "two-tier-hygiene"), 2, "{rules:?}");
-}
-
-#[test]
-fn two_tier_hygiene_stays_quiet() {
-    let rules = rules_at(LIB_PATH, "two_tier_quiet.rs");
-    assert_eq!(count(&rules, "two-tier-hygiene"), 0, "{rules:?}");
-}
-
-#[test]
-fn two_tier_hygiene_skips_the_compat_modules() {
-    // compat.rs is where the legacy pair form is supposed to live.
-    let rules = rules_at("crates/harl/src/compat.rs", "two_tier_fire.rs");
-    assert_eq!(count(&rules, "two-tier-hygiene"), 0, "{rules:?}");
-}
-
 // A path inside the float-accumulation scope (crates/harl/src/, any file
 // but fold.rs itself).
 const FLOAT_PATH: &str = "crates/harl/src/fixture.rs";

@@ -132,8 +132,8 @@ mod tests {
         let cluster = ClusterConfig::paper_default();
         let a = ior_like(4, 512 * KB, 32 * MB, OpKind::Read);
         let b = ior_like(4, 128 * KB, 16 * MB, OpKind::Read);
-        let rst_a = RegionStripeTable::single(32 * MB, 32 * KB, 160 * KB);
-        let rst_b = RegionStripeTable::single(16 * MB, 0, 64 * KB);
+        let rst_a = RegionStripeTable::uniform(32 * MB, vec![32 * KB, 160 * KB]);
+        let rst_b = RegionStripeTable::uniform(16 * MB, vec![0, 64 * KB]);
         let report = run_shared(
             &SimContext::new(),
             &cluster,
@@ -151,7 +151,7 @@ mod tests {
     fn contention_slows_both_apps() {
         let cluster = ClusterConfig::paper_default();
         let a = ior_like(8, 512 * KB, 64 * MB, OpKind::Read);
-        let rst = RegionStripeTable::single(64 * MB, 64 * KB, 64 * KB);
+        let rst = RegionStripeTable::uniform(64 * MB, vec![64 * KB, 64 * KB]);
         let ccfg = CollectiveConfig::default();
         let alone = run_shared(&SimContext::new(), &cluster, &[(&rst, &a)], &ccfg);
         let shared = run_shared(
@@ -175,7 +175,7 @@ mod tests {
         let cluster = ClusterConfig::paper_default();
         let a = ior_like(2, 256 * KB, 8 * MB, OpKind::Write);
         let b = ior_like(2, 256 * KB, 8 * MB, OpKind::Write);
-        let rst = RegionStripeTable::single(8 * MB, 16 * KB, 64 * KB);
+        let rst = RegionStripeTable::uniform(8 * MB, vec![16 * KB, 64 * KB]);
         let report = run_shared(
             &SimContext::new(),
             &cluster,
@@ -193,7 +193,7 @@ mod tests {
         let mut w = Workload::with_ranks(2);
         w.ranks[0].push_collective(vec![LogicalRequest::write(0, 1024)]);
         w.ranks[1].push_collective(vec![]);
-        let rst = RegionStripeTable::single(MB, 4 * KB, 8 * KB);
+        let rst = RegionStripeTable::uniform(MB, vec![4 * KB, 8 * KB]);
         run_shared(
             &SimContext::new(),
             &cluster,

@@ -127,8 +127,8 @@ mod tests {
 
     fn rst() -> RegionStripeTable {
         RegionStripeTable::new(vec![
-            RstEntry::two(0, 8 * MB, 16 * KB, 64 * KB),
-            RstEntry::two(8 * MB, 8 * MB, 0, 64 * KB),
+            RstEntry::new(0, 8 * MB, vec![16 * KB, 64 * KB]),
+            RstEntry::new(8 * MB, 8 * MB, vec![0, 64 * KB]),
         ])
     }
 
@@ -160,7 +160,7 @@ mod tests {
         let per = bytes_per_server(&cluster, &table, file_size);
         assert_eq!(per.iter().sum::<u64>(), file_size);
         // Region 1 contributes nothing to HServers.
-        let layout0 = FileLayout::two_class(&cluster, 16 * KB, 64 * KB);
+        let layout0 = FileLayout::for_classes(&cluster, &[16 * KB, 64 * KB]);
         let h_expect: u64 = layout0
             .split(0, 8 * MB)
             .iter()

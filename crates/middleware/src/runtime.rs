@@ -297,7 +297,7 @@ pub fn translate_workload(
 /// simulate it on `cluster`.
 ///
 /// With an enabled recorder on `ctx`, the planned per-region stripes land
-/// as gauges (`mw.region.stripe_h` / `mw.region.stripe_s`), translation
+/// as gauges (`mw.region.stripe_width`, one per class), translation
 /// records routing counters, and the simulation records per-server
 /// histograms plus one span per request. Seed and fault overrides on `ctx`
 /// apply to the simulation.
@@ -311,17 +311,11 @@ pub fn run_workload(
     let recorder = ctx.recorder();
     if recorder.is_enabled() {
         for (region, entry) in rst.entries().iter().enumerate() {
-            let labels = [("region", region.to_string())];
-            if let [h, s] = entry.widths() {
-                // Two-tier plans keep the paper's named gauges.
-                recorder.gauge_set(registry::MW_REGION_STRIPE_H.name, &labels, *h as f64);
-                recorder.gauge_set(registry::MW_REGION_STRIPE_S.name, &labels, *s as f64);
-            } else {
-                for (class, &w) in entry.widths().iter().enumerate() {
-                    let labels = [("region", region.to_string()), ("class", class.to_string())];
-                    recorder.gauge_set(registry::MW_REGION_STRIPE_WIDTH.name, &labels, w as f64);
-                }
+            for (class, &w) in entry.widths().iter().enumerate() {
+                let labels = [("region", region.to_string()), ("class", class.to_string())];
+                recorder.gauge_set(registry::MW_REGION_STRIPE_WIDTH.name, &labels, w as f64);
             }
+            let labels = [("region", region.to_string())];
             recorder.gauge_set(registry::MW_REGION_LEN.name, &labels, entry.len as f64);
         }
     }
@@ -357,7 +351,7 @@ pub fn trace_plan_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harl_core::{CostModelParams, FixedPolicy, HarlPolicy, RstEntry};
+    use harl_core::{FixedPolicy, HarlPolicy, MultiProfileModel, RstEntry};
     use harl_simcore::metrics::NoopRecorder;
 
     const KB: u64 = 1024;
@@ -369,8 +363,8 @@ mod tests {
 
     fn two_region_rst() -> RegionStripeTable {
         RegionStripeTable::new(vec![
-            RstEntry::two(0, 4 * MB, 64 * KB, 64 * KB),
-            RstEntry::two(4 * MB, 4 * MB, 0, 128 * KB),
+            RstEntry::new(0, 4 * MB, vec![64 * KB, 64 * KB]),
+            RstEntry::new(4 * MB, 4 * MB, vec![0, 128 * KB]),
         ])
     }
 
@@ -472,7 +466,7 @@ mod tests {
                 .collect();
             prog.push_collective(reqs);
         }
-        let rst = RegionStripeTable::single(8 * MB, 64 * KB, 64 * KB);
+        let rst = RegionStripeTable::uniform(8 * MB, vec![64 * KB, 64 * KB]);
         let report = run_workload(&ctx(), &cluster, &rst, &w, &CollectiveConfig::default());
         assert_eq!(report.bytes_read, 8 * MB);
         assert_eq!(report.bytes_written, 0);
@@ -484,7 +478,7 @@ mod tests {
         // The reason BTIO uses collective I/O: interleaved small blocks
         // as independent requests are far slower than two-phase.
         let cluster = ClusterConfig::paper_default();
-        let rst = RegionStripeTable::single(64 * MB, 64 * KB, 64 * KB);
+        let rst = RegionStripeTable::uniform(64 * MB, vec![64 * KB, 64 * KB]);
         let block = 64 * KB;
         let ranks = 4usize;
         let blocks = 32u64;
@@ -560,10 +554,12 @@ mod tests {
         assert_eq!(fanout.bucket_for(1), 1);
         assert_eq!(fanout.bucket_for(2), 1);
         // Planned stripes exported as gauges.
-        assert_eq!(
-            rec.gauge_value("mw.region.stripe_h", &[("region", "0".to_string())]),
-            Some((64 * KB) as f64)
-        );
+        let width = |class: &str| {
+            let labels = [("region", "0".to_string()), ("class", class.to_string())];
+            rec.gauge_value("mw.region.stripe_width", &labels)
+        };
+        assert_eq!(width("0"), Some((64 * KB) as f64));
+        assert_eq!(width("1"), Some((64 * KB) as f64));
         // The downstream simulation recorded spans through the same recorder.
         assert_eq!(rec.spans().len(), 3);
     }
@@ -580,7 +576,7 @@ mod tests {
                 ));
             }
         }
-        let policy = HarlPolicy::new(CostModelParams::from_cluster(&cluster));
+        let policy = HarlPolicy::new(MultiProfileModel::from_cluster(&cluster));
         let (rst, report) =
             trace_plan_run(&ctx(), &cluster, &policy, &w, &CollectiveConfig::default());
         assert!(!rst.is_empty());

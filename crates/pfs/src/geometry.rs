@@ -69,15 +69,6 @@ impl GroupLayout {
         Ok(GroupLayout { widths, starts })
     }
 
-    /// The paper's two-class layout: `m` slots of width `h` then `n` slots
-    /// of width `s`.
-    pub fn two_class(m: usize, h: u64, n: usize, s: u64) -> Self {
-        let mut widths = Vec::with_capacity(m + n);
-        widths.extend(std::iter::repeat_n(h, m));
-        widths.extend(std::iter::repeat_n(s, n));
-        GroupLayout::new(widths)
-    }
-
     /// A homogeneous fixed-stripe layout over `k` slots.
     pub fn fixed(k: usize, stripe: u64) -> Self {
         GroupLayout::new(vec![stripe; k])
@@ -247,7 +238,7 @@ mod tests {
 
     #[test]
     fn two_class_group_size() {
-        let l = GroupLayout::two_class(6, 32 * 1024, 2, 160 * 1024);
+        let l = GroupLayout::new([vec![32 * 1024; 6], vec![160 * 1024; 2]].concat());
         assert_eq!(l.group_size(), 6 * 32 * 1024 + 2 * 160 * 1024);
         assert_eq!(l.slots(), 8);
     }
@@ -265,7 +256,7 @@ mod tests {
 
     #[test]
     fn split_conserves_bytes() {
-        let l = GroupLayout::two_class(6, 32 * 1024, 2, 160 * 1024);
+        let l = GroupLayout::new([vec![32 * 1024; 6], vec![160 * 1024; 2]].concat());
         for (o, r) in [
             (0u64, 512 * 1024u64),
             (12_345, 512 * 1024),
@@ -280,7 +271,7 @@ mod tests {
 
     #[test]
     fn closed_form_matches_brute_force() {
-        let l = GroupLayout::two_class(3, 4096, 2, 10_240);
+        let l = GroupLayout::new([vec![4096; 3], vec![10_240; 2]].concat());
         for slot in 0..l.slots() {
             for &(o, r) in &[(0u64, 30_000u64), (5_000, 12_345), (40_000, 1), (4095, 2)] {
                 assert_eq!(
@@ -295,7 +286,7 @@ mod tests {
     #[test]
     fn zero_width_slot_gets_nothing() {
         // Paper Fig. 9: optimal layout {0KB, 64KB} stores nothing on HServers.
-        let l = GroupLayout::two_class(6, 0, 2, 64 * 1024);
+        let l = GroupLayout::new([vec![0; 6], vec![64 * 1024; 2]].concat());
         let split = l.split(0, 128 * 1024);
         assert_eq!(split, vec![(6, 64 * 1024), (7, 64 * 1024)]);
     }
@@ -303,7 +294,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no capacity")]
     fn all_zero_widths_rejected() {
-        GroupLayout::two_class(4, 0, 2, 0);
+        GroupLayout::new(vec![0; 6]);
     }
 
     #[test]
@@ -336,7 +327,7 @@ mod tests {
 
     #[test]
     fn multi_group_request() {
-        let l = GroupLayout::two_class(2, 100, 1, 300);
+        let l = GroupLayout::new([vec![100; 2], vec![300; 1]].concat());
         // S = 500. Request [0, 1250) covers 2 full groups + 250 bytes.
         let split = l.split(0, 1250);
         let total: u64 = split.iter().map(|&(_, b)| b).sum();
@@ -363,7 +354,7 @@ mod tests {
 
     #[test]
     fn largest_fragment_zero_cases() {
-        let l = GroupLayout::two_class(1, 0, 1, 100);
+        let l = GroupLayout::new([vec![0; 1], vec![100; 1]].concat());
         assert_eq!(l.largest_fragment(0, 0, 1000), 0);
         assert_eq!(l.largest_fragment(1, 0, 0), 0);
     }

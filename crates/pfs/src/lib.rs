@@ -46,7 +46,6 @@
 )]
 
 pub mod cluster;
-pub mod compat;
 pub mod faults;
 pub mod geometry;
 pub mod layout;

@@ -847,7 +847,7 @@ mod tests {
         // layout matters (with very few clients the node NICs dominate).
         let cluster = ClusterConfig::paper_default();
         let fixed = vec![FileLayout::fixed(&cluster, 64 * 1024)];
-        let varied = vec![FileLayout::two_class(&cluster, 32 * 1024, 160 * 1024)];
+        let varied = vec![FileLayout::for_classes(&cluster, &[32 * 1024, 160 * 1024])];
         let programs: Vec<_> = (0..16)
             .map(|c| {
                 sync_program(
@@ -876,7 +876,7 @@ mod tests {
     #[test]
     fn write_slower_than_read_on_ssd_only_layout() {
         let cluster = ClusterConfig::paper_default();
-        let files = vec![FileLayout::two_class(&cluster, 0, 64 * 1024)];
+        let files = vec![FileLayout::for_classes(&cluster, &[0, 64 * 1024])];
         let reads = vec![sync_program(
             (0..16u64)
                 .map(|i| PhysRequest::read(0, i * 128 * 1024, 128 * 1024))

@@ -162,14 +162,8 @@ metrics! {
     /// Fan-out of each logical request, labelled by `op`.
     MW_REQUEST_FANOUT = ("mw.request.fanout", Histogram, Count,
         "region pieces one logical request split into");
-    /// Planned HServer stripe per region, labelled by `region`.
-    MW_REGION_STRIPE_H = ("mw.region.stripe_h", Gauge, Bytes,
-        "planned HServer stripe size of a region");
-    /// Planned SServer stripe per region, labelled by `region`.
-    MW_REGION_STRIPE_S = ("mw.region.stripe_s", Gauge, Bytes,
-        "planned SServer stripe size of a region");
     /// Planned stripe width per region and class, labelled by
-    /// `region`/`class` (any class count; `K = 2` keeps `stripe_h`/`_s`).
+    /// `region`/`class`.
     MW_REGION_STRIPE_WIDTH = ("mw.region.stripe_width", Gauge, Bytes,
         "planned stripe width of a region on one server class");
     /// Region length, labelled by `region`.
@@ -180,22 +174,16 @@ metrics! {
         "trace records collected before planning");
 
     // --- harl.* — planner and online monitor -----------------------------
-    /// Algorithm 2 grid candidates searched, labelled by `region`.
+    /// Candidates the grid or the descent costed (pruned ones included),
+    /// labelled by `region`.
     HARL_OPTIMIZER_CANDIDATES = ("harl.optimizer.candidates", Counter, Count,
-        "stripe-pair candidates evaluated by Algorithm 2");
-    /// Winning HServer stripe, labelled by `region`.
-    HARL_OPTIMIZER_STRIPE_H = ("harl.optimizer.stripe_h", Gauge, Bytes,
-        "HServer stripe size chosen by Algorithm 2");
-    /// Winning SServer stripe, labelled by `region`.
-    HARL_OPTIMIZER_STRIPE_S = ("harl.optimizer.stripe_s", Gauge, Bytes,
-        "SServer stripe size chosen by Algorithm 2");
-    /// Winning stripe width per class (`K ≥ 3` layouts), labelled by
-    /// `region`/`class`.
+        "stripe-width candidates costed by Algorithm 2");
+    /// Winning stripe width per class, labelled by `region`/`class`.
     HARL_OPTIMIZER_STRIPE_WIDTH = ("harl.optimizer.stripe_width", Gauge, Bytes,
-        "stripe width chosen by coordinate descent for one server class");
-    /// Predicted cost of the winning pair, labelled by `region`.
+        "stripe width chosen by Algorithm 2 for one server class");
+    /// Predicted cost of the winning widths, labelled by `region`.
     HARL_OPTIMIZER_PREDICTED_COST_S = ("harl.optimizer.predicted_cost_s", Summary, Seconds,
-        "predicted cost of the chosen stripe pair");
+        "predicted cost of the chosen stripe widths");
     /// Wall time of one Algorithm 2 search, labelled by `region`.
     HARL_OPTIMIZER_PLAN_WALL_S = ("harl.optimizer.plan_wall_s", Summary, Seconds,
         "wall-clock latency of one Algorithm 2 search");
@@ -321,13 +309,9 @@ mod tests {
     #[test]
     fn unit_suffixes_match_names() {
         // A name ending in `_ns`/`_s` must declare the matching unit, and
-        // vice versa — the suffix is the unit contract made visible. The
-        // one non-time `_s` suffix is `stripe_s` (the SServer stripe, in
-        // bytes), mirroring the paper's H/S server naming.
+        // vice versa — the suffix is the unit contract made visible.
         for m in REGISTRY {
-            if m.name.ends_with("stripe_s") || m.name.ends_with("stripe_h") {
-                assert_eq!(m.unit, Unit::Bytes, "{} must be bytes", m.name);
-            } else if m.name.ends_with("_ns") {
+            if m.name.ends_with("_ns") {
                 assert_eq!(m.unit, Unit::Nanoseconds, "{} must be ns", m.name);
             } else if m.name.ends_with("_s") {
                 assert_eq!(m.unit, Unit::Seconds, "{} must be s", m.name);

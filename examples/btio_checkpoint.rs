@@ -40,7 +40,7 @@ fn main() {
         ByteSize(pfs_trace.size_stats().mean() as u64),
     );
 
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
     let harl = HarlPolicy::new(model);
     let (rst, harl_report) = trace_plan_run(&SimContext::new(), &cluster, &harl, &workload, &ccfg);
     let (_, default_report) = trace_plan_run(

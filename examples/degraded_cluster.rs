@@ -29,7 +29,7 @@
 use harl_repro::prelude::*;
 
 fn run(ctx: &SimContext, label: &str, cluster: &ClusterConfig, workload: &Workload) {
-    let model = CostModelParams::from_cluster_calibrated(cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(cluster, &CalibrationConfig::default());
     let harl = HarlPolicy::new(model);
     let ccfg = CollectiveConfig::default();
     let (_, harl_report) = trace_plan_run(ctx, cluster, &harl, workload, &ccfg);

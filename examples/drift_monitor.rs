@@ -16,7 +16,7 @@ use harl_repro::prelude::*;
 fn main() {
     let cluster = ClusterConfig::paper_default();
     let ccfg = CollectiveConfig::default();
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
 
     // Day 1: plan for the traced 512 KiB pattern.
     let old = IorConfig::paper_default(OpKind::Read, GIB).build();
@@ -25,8 +25,8 @@ fn main() {
     let e = &rst.entries()[0];
     println!(
         "planned for 512KiB requests: (h, s) = ({}, {})",
-        ByteSize(e.h()),
-        ByteSize(e.s())
+        ByteSize(e.width(0)),
+        ByteSize(e.width(1))
     );
 
     // Day 30: the pattern drifts to 128 KiB requests.
@@ -77,7 +77,7 @@ fn main() {
     let adapted = &monitor.current_rst().entries()[0];
     println!(
         "\nactive layout now: (h, s) = ({}, {})",
-        ByteSize(adapted.h()),
-        ByteSize(adapted.s())
+        ByteSize(adapted.width(0)),
+        ByteSize(adapted.width(1))
     );
 }

@@ -8,7 +8,7 @@
 //!    per-request spans break each request into mds / nic / disk hops with
 //!    queue-wait and service-time deltas.
 //! 2. *How well does the Sec. III-D cost model predict reality?* — each
-//!    span is replayed through the model for its region's `(h, s)` pair
+//!    span is replayed through the model for its region's stripe widths
 //!    and the residual `actual − predicted` is summarised per region (the
 //!    same model-drift signal the on-line monitor uses to trigger
 //!    re-optimization).
@@ -27,11 +27,12 @@ fn main() {
     // different stripe pairs and visibly different residual profiles.
     let cluster = ClusterConfig::paper_default();
     let workload = MultiRegionIorConfig::paper_default(OpKind::Read, 0.05).build();
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
 
     let recorder = Arc::new(MemoryRecorder::new());
     let ctx = SimContext::recorded(recorder.clone());
-    let policy = HarlPolicy::new(model.clone());
+    let kernel = CostKernel::new(&model);
+    let policy = HarlPolicy::new(model);
     let (rst, report) = trace_plan_run(
         &ctx,
         &cluster,
@@ -98,7 +99,7 @@ fn main() {
         } else {
             OpKind::Read
         };
-        let predicted = model.request_cost(offset, size, op, entry.h(), entry.s());
+        let predicted = kernel.request_cost(offset, size, op, entry.widths());
         predictions[region].push(predicted);
         residuals[region].push(span.latency_ns() as f64 / 1e9 - predicted);
     }
@@ -115,7 +116,7 @@ fn main() {
         println!(
             "  {:<8} {:>12} {:>8} {:>11.3} ms {:>11.3} ms {:>11.3} ms",
             region,
-            format!("({}, {})", entry.h() / 1024, entry.s() / 1024),
+            format!("({}, {})", entry.width(0) / 1024, entry.width(1) / 1024),
             r.count(),
             p.mean() * 1e3,
             r.mean() * 1e3,

@@ -22,14 +22,14 @@ fn main() {
 
     // First run: trace and plan.
     let trace = collect_trace_lowered(&cluster, &workload, &ccfg);
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
     let harl = HarlPolicy::new(model.clone());
     let rst = harl.plan(&SimContext::new(), &trace, file_size);
     let ssd_bytes = projected_sserver_bytes(&model, &rst);
     println!(
         "HARL plan: (h, s) = ({}, {}), projected SServer usage {} of a {} file",
-        ByteSize(rst.entries()[0].h()),
-        ByteSize(rst.entries()[0].s()),
+        ByteSize(rst.entries()[0].width(0)),
+        ByteSize(rst.entries()[0].width(1)),
         ByteSize(ssd_bytes),
         ByteSize(file_size)
     );
@@ -55,8 +55,8 @@ fn main() {
             "  region [{}, {}): h = {}, s = {}",
             ByteSize(e.offset),
             ByteSize(e.end()),
-            ByteSize(e.h()),
-            ByteSize(e.s())
+            ByteSize(e.width(0)),
+            ByteSize(e.width(1))
         );
     }
 

@@ -26,7 +26,7 @@ fn main() {
 
     // 3. Analysis Phase inputs: *measured* device parameters, exactly as
     //    the paper probes one file server of each kind.
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
 
     // 4. Trace -> plan -> place -> run, under HARL and under the default.
     let ccfg = CollectiveConfig::default();
@@ -46,8 +46,8 @@ fn main() {
             "  region {i}: [{}, {}) h = {}, s = {}",
             ByteSize(e.offset),
             ByteSize(e.end()),
-            ByteSize(e.h()),
-            ByteSize(e.s())
+            ByteSize(e.width(0)),
+            ByteSize(e.width(1))
         );
     }
 

@@ -25,7 +25,7 @@
 //!
 //! let cluster = ClusterConfig::paper_default();
 //! let workload = IorConfig::paper_default(OpKind::Read, 256 << 20).build();
-//! let policy = HarlPolicy::new(CostModelParams::from_cluster(&cluster));
+//! let policy = HarlPolicy::new(MultiProfileModel::from_cluster(&cluster));
 //! let (rst, report) = trace_plan_run(
 //!     &SimContext::new(), &cluster, &policy, &workload,
 //!     &CollectiveConfig::default());
@@ -57,10 +57,9 @@ pub mod prelude {
         ServeSpec, TierSpec, TieredCluster, WorkloadSpec,
     };
     pub use harl_core::{
-        CostModelParams, FixedPolicy, HarlPolicy, LayoutPolicy, LoadError, MultiProfileModel,
-        MultiProfileOptimizer, OptimizerConfig, RandomPolicy, RegionDivisionConfig,
-        RegionStripeTable, RstEntry, SegmentPolicy, ServerLevelPolicy, SpaceBalancer, Trace,
-        TraceRecord,
+        CostKernel, FixedPolicy, HarlPolicy, LayoutPolicy, LoadError, MultiProfileModel,
+        OptimizerConfig, RandomPolicy, RegionDivisionConfig, RegionStripeTable, RstEntry,
+        SegmentPolicy, ServerLevelPolicy, SpaceBalancer, Trace, TraceRecord,
     };
     pub use harl_devices::{
         calibrate_network, calibrate_storage, hdd_2015_preset, nvme_2020_preset,

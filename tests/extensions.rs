@@ -2,7 +2,7 @@
 //! on-line adaptation, multi-application sharing, space balancing and the
 //! K-profile model — exercised end to end through the public API.
 
-use harl_repro::harl::{OnlineConfig, OnlineMonitor};
+use harl_repro::harl::{ClassParams, OnlineConfig, OnlineMonitor};
 use harl_repro::middleware::run_shared;
 use harl_repro::prelude::*;
 
@@ -28,7 +28,7 @@ fn online_adaptation_converges_to_fresh_offline_plan() {
     // the adapted table must still beat the traditional 64K default.
     let cluster = ClusterConfig::paper_default();
     let ccfg = CollectiveConfig::default();
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
 
     let old_workload = ior(OpKind::Read, 512 * KIB, 1);
     let old_trace = collect_trace_lowered(&cluster, &old_workload, &ccfg);
@@ -55,13 +55,16 @@ fn online_adaptation_converges_to_fresh_offline_plan() {
     // for the new pattern.
     let fresh = HarlPolicy::new(model).plan(&SimContext::new(), &new_trace, FILE);
     assert_eq!(
-        (adapted_rst.entries()[0].h(), adapted_rst.entries()[0].s()),
-        (fresh.entries()[0].h(), fresh.entries()[0].s()),
+        (
+            adapted_rst.entries()[0].width(0),
+            adapted_rst.entries()[0].width(1)
+        ),
+        (fresh.entries()[0].width(0), fresh.entries()[0].width(1)),
         "online adaptation should match the fresh offline plan"
     );
 
     // And it still beats the traditional default on the new pattern.
-    let default = RegionStripeTable::single(FILE, 64 * KIB, 64 * KIB);
+    let default = RegionStripeTable::uniform(FILE, vec![64 * KIB, 64 * KIB]);
     let adapted_run = run_workload(
         &SimContext::new(),
         &cluster,
@@ -90,14 +93,14 @@ fn multiapp_per_app_planning_beats_shared_default() {
     let app1 = ior(OpKind::Read, 512 * KIB, 3);
     let app2 = ior(OpKind::Read, 128 * KIB, 4);
 
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
     let plan = |w: &Workload| {
         let trace = collect_trace_lowered(&cluster, w, &ccfg);
         HarlPolicy::new(model.clone()).plan(&SimContext::new(), &trace, FILE)
     };
     let rst1 = plan(&app1);
     let rst2 = plan(&app2);
-    let default = RegionStripeTable::single(FILE, 64 * KIB, 64 * KIB);
+    let default = RegionStripeTable::uniform(FILE, vec![64 * KIB, 64 * KIB]);
 
     let harl = run_shared(
         &SimContext::new(),
@@ -128,7 +131,7 @@ fn straggler_injection_visible_end_to_end() {
     use harl_repro::pfs::Degradation;
     let ccfg = CollectiveConfig::default();
     let w = ior(OpKind::Read, 512 * KIB, 5);
-    let rst = RegionStripeTable::single(FILE, 32 * KIB, 160 * KIB);
+    let rst = RegionStripeTable::uniform(FILE, vec![32 * KIB, 160 * KIB]);
 
     let healthy = ClusterConfig::paper_default();
     let degraded = ClusterConfig::paper_default().with_degradation(Degradation::permanent(6, 4.0));
@@ -142,14 +145,23 @@ fn straggler_injection_visible_end_to_end() {
 
 #[test]
 fn k_profile_model_agrees_with_two_class_on_pair_clusters() {
+    // A pair cluster stated as K = 3 with an empty third class costs every
+    // request exactly as its K = 2 model does: a class without servers
+    // holds no bytes and starts nothing.
     let cluster = ClusterConfig::paper_default();
-    let pair = CostModelParams::from_cluster(&cluster);
-    let multi = MultiProfileModel::from_cluster(&cluster);
+    let pair = MultiProfileModel::from_cluster(&cluster);
+    let mut padded = pair.clone();
+    padded.classes.push(ClassParams {
+        count: 0,
+        read: nvme_2020_preset().read,
+        write: nvme_2020_preset().write,
+    });
+    let (pair, padded) = (CostKernel::new(&pair), CostKernel::new(&padded));
     for (offset, size) in [(0u64, 512 * KIB), (123 * KIB, 2 * MIB), (7 * KIB, 4 * KIB)] {
         for op in OpKind::ALL {
-            let a = pair.request_cost(offset, size, op, 48 * KIB, 96 * KIB);
-            let b = multi.request_cost(offset, size, op, &[48 * KIB, 96 * KIB]);
-            assert!((a - b).abs() < 1e-15);
+            let a = pair.request_cost(offset, size, op, &[48 * KIB, 96 * KIB]);
+            let b = padded.request_cost(offset, size, op, &[48 * KIB, 96 * KIB, 64 * KIB]);
+            assert_eq!(a.to_bits(), b.to_bits(), "({offset}, {size}, {op})");
         }
     }
 }
@@ -176,7 +188,7 @@ fn metadata_stays_bounded_on_adversarial_trace() {
     // threshold adaptation must keep the RST metadata bounded by the
     // fixed-size division (Sec. III-C).
     let cluster = ClusterConfig::paper_default();
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
     let mut records = Vec::new();
     for i in 0..2048u64 {
         let size = if i % 2 == 0 { 16 * KIB } else { 2 * MIB };

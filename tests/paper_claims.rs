@@ -21,7 +21,7 @@ fn ior(op: OpKind, processes: usize, request_size: u64, cluster_file: u64) -> Wo
 }
 
 fn harl_for(cluster: &ClusterConfig) -> HarlPolicy {
-    HarlPolicy::new(CostModelParams::from_cluster_calibrated(
+    HarlPolicy::new(MultiProfileModel::from_cluster_calibrated(
         cluster,
         &CalibrationConfig::default(),
     ))
@@ -133,7 +133,7 @@ fn fig7_read_optimum_is_32k_160k() {
     );
     let e = &rst.entries()[0];
     assert_eq!(
-        (e.h() / 1024, e.s() / 1024),
+        (e.width(0) / 1024, e.width(1) / 1024),
         (32, 160),
         "read optimum drifted from the paper's {{32K, 160K}}"
     );
@@ -156,7 +156,7 @@ fn fig9_small_requests_ssd_only_large_requests_mixed() {
     );
     let e = &rst_small.entries()[0];
     assert_eq!(
-        (e.h(), e.s()),
+        (e.width(0), e.width(1)),
         (0, 64 * KIB),
         "paper: {{0K, 64K}} at 128 KiB"
     );
@@ -170,8 +170,8 @@ fn fig9_small_requests_ssd_only_large_requests_mixed() {
         &ccfg,
     );
     let e = &rst_large.entries()[0];
-    assert!(e.h() > 0, "1024 KiB requests should use both classes");
-    assert!(e.s() > e.h());
+    assert!(e.width(0) > 0, "1024 KiB requests should use both classes");
+    assert!(e.width(1) > e.width(0));
 }
 
 /// Fig. 10: with more SServers than HServers (2:6), HARL places the file
@@ -193,7 +193,7 @@ fn fig10_ssd_rich_cluster_goes_ssd_only() {
         );
         (
             h.throughput_mib_s() / d.throughput_mib_s(),
-            rst.entries()[0].h(),
+            rst.entries()[0].width(0),
         )
     };
     let (gain_62, _) = improvement(6, 2);
@@ -222,8 +222,11 @@ fn fig11_nonuniform_workload_gets_regions() {
         "expected region division to find the phases, got {} region(s)",
         rst.len()
     );
-    let layouts: std::collections::HashSet<(u64, u64)> =
-        rst.entries().iter().map(|e| (e.h(), e.s())).collect();
+    let layouts: std::collections::HashSet<(u64, u64)> = rst
+        .entries()
+        .iter()
+        .map(|e| (e.width(0), e.width(1)))
+        .collect();
     assert!(layouts.len() >= 2, "regions should get distinct layouts");
     for &stripe in &[16 * KIB, 64 * KIB, 256 * KIB] {
         let (_, f) = trace_plan_run(
@@ -275,7 +278,10 @@ fn harl_balances_completion_times() {
     let (rst, report) =
         trace_plan_run(&SimContext::new(), &cluster, &harl_for(&cluster), &w, &ccfg);
     let e = &rst.entries()[0];
-    assert!(e.s() > e.h(), "SServer stripe must exceed HServer stripe");
+    assert!(
+        e.width(1) > e.width(0),
+        "SServer stripe must exceed HServer stripe"
+    );
     assert!(
         report.imbalance() < 2.0,
         "HARL imbalance {:.2}x should be far below the default's ~5x",
@@ -292,7 +298,7 @@ fn discussion_space_balancing_respects_budget() {
     let w = ior(OpKind::Read, 16, 512 * KIB, FILE);
     let ccfg = CollectiveConfig::default();
     let trace = collect_trace_lowered(&cluster, &w, &ccfg);
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
     let rst = HarlPolicy::new(model.clone()).plan(&SimContext::new(), &trace, FILE);
     let unconstrained = projected_sserver_bytes(&model, &rst);
     let balancer = SpaceBalancer {

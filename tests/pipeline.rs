@@ -18,7 +18,7 @@ fn ior(op: OpKind, processes: usize, request_size: u64) -> Workload {
 }
 
 fn harl(cluster: &ClusterConfig) -> HarlPolicy {
-    HarlPolicy::new(CostModelParams::from_cluster_calibrated(
+    HarlPolicy::new(MultiProfileModel::from_cluster_calibrated(
         cluster,
         &CalibrationConfig::default(),
     ))
@@ -161,7 +161,7 @@ fn replayed_trace_reproduces_workload_behaviour() {
     let ccfg = CollectiveConfig::default();
     let trace = collect_trace(&w);
     let replayed = replay(&trace);
-    let rst = RegionStripeTable::single(QUICK_FILE, 64 * KIB, 64 * KIB);
+    let rst = RegionStripeTable::uniform(QUICK_FILE, vec![64 * KIB, 64 * KIB]);
     let a = run_workload(&SimContext::new(), &cluster, &rst, &w, &ccfg);
     let b = run_workload(&SimContext::new(), &cluster, &rst, &replayed, &ccfg);
     assert_eq!(a.bytes_read, b.bytes_read);
@@ -195,7 +195,7 @@ fn zero_h_regions_keep_hservers_idle() {
     // A plan that stores a region on SServers only must not touch HServers
     // when that region is accessed.
     let cluster = ClusterConfig::paper_default();
-    let rst = RegionStripeTable::single(QUICK_FILE, 0, 64 * KIB);
+    let rst = RegionStripeTable::uniform(QUICK_FILE, vec![0, 64 * KIB]);
     let w = ior(OpKind::Read, 8, 128 * KIB);
     let report = run_workload(
         &SimContext::new(),

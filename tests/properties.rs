@@ -29,7 +29,7 @@ proptest! {
         n in 1usize..8,
     ) {
         let cluster = ClusterConfig::hybrid(m, n);
-        let layout = FileLayout::two_class(&cluster, h, s);
+        let layout = FileLayout::for_classes(&cluster, &[h, s]);
         let pieces = layout.split(offset, len);
         let total: u64 = pieces.iter().map(|&(_, b)| b).sum();
         prop_assert_eq!(total, len);
@@ -103,11 +103,12 @@ proptest! {
         size in 1u64..(4 << 20),
         op_is_read in any::<bool>(),
     ) {
-        let model = CostModelParams::from_cluster(&ClusterConfig::paper_default());
+        let model = MultiProfileModel::from_cluster(&ClusterConfig::paper_default());
+        let kernel = CostKernel::new(&model);
         let op = if op_is_read { OpKind::Read } else { OpKind::Write };
-        prop_assert_eq!(model.request_cost(offset, 0, op, h, s), 0.0);
-        let c1 = model.request_cost(offset, size, op, h, s);
-        let c2 = model.request_cost(offset, size * 2, op, h, s);
+        prop_assert_eq!(kernel.request_cost(offset, 0, op, &[h, s]), 0.0);
+        let c1 = kernel.request_cost(offset, size, op, &[h, s]);
+        let c2 = kernel.request_cost(offset, size * 2, op, &[h, s]);
         prop_assert!(c1 > 0.0);
         prop_assert!(c2 >= c1, "doubling the size reduced cost: {} -> {}", c1, c2);
     }
@@ -156,12 +157,7 @@ proptest! {
             let mut off = 0;
             for (i, &l) in lens.iter().enumerate() {
                 let region_len = l * STEP * 256;
-                out.push(RstEntry::two(
-                    off,
-                    region_len,
-                    ((i as u64 % 4) * 16) * 1024,
-                    64 * 1024,
-                ));
+                out.push(RstEntry::new(off, region_len, vec![((i as u64 % 4) * 16) * 1024, 64 * 1024]));
                 off += region_len;
             }
             out
@@ -250,7 +246,7 @@ proptest! {
                 (((i as u64 % 3) + 1) * 16 * 1024, 64 * 1024)
             };
             let len = l * (1 << 20);
-            entries.push(RstEntry::two(off, len, h, s));
+            entries.push(RstEntry::new(off, len, vec![h, s]));
             off += len;
         }
         let rst = RegionStripeTable::new(entries);
@@ -261,6 +257,6 @@ proptest! {
         let probe = (rst.file_size() as f64 * probe_frac) as u64;
         let a = rst.lookup(probe);
         let b = merged.lookup(probe);
-        prop_assert_eq!((a.h(), a.s()), (b.h(), b.s()));
+        prop_assert_eq!((a.width(0), a.width(1)), (b.width(0), b.width(1)));
     }
 }
