@@ -202,10 +202,13 @@ impl CostKernel {
     /// # Panics
     /// Panics unless there is one width per class and some populated
     /// class has a non-zero width.
+    #[inline]
     pub fn place(&self, widths: &[u64], out: &mut ClassSpans) {
         let classes = &self.ops[0];
         assert_eq!(widths.len(), classes.len(), "one width per class");
-        out.spans.resize(classes.len(), (0, 0));
+        if out.spans.len() != classes.len() {
+            out.spans = vec![(0, 0); classes.len()];
+        }
         let mut base = 0u64;
         for ((c, &w), span) in classes.iter().zip(widths).zip(&mut out.spans) {
             *span = (base, w);
