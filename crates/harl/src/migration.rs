@@ -59,8 +59,7 @@ fn server_counts(model: &MultiProfileModel) -> [usize; 2] {
 
 /// SServer share of one region's bytes under widths `[h, s]` on an
 /// `[M, N]` cluster.
-fn sserver_fraction([m, n]: [usize; 2], widths: &[u64]) -> f64 {
-    let (h, s) = (widths[0], widths[1]);
+fn sserver_fraction([m, n]: [usize; 2], [h, s]: [u64; 2]) -> f64 {
     let total = m as u64 * h + n as u64 * s;
     if total == 0 {
         return 0.0;
@@ -76,7 +75,7 @@ pub fn projected_sserver_bytes(model: &MultiProfileModel, rst: &RegionStripeTabl
     let counts = server_counts(model);
     rst.entries()
         .iter()
-        .map(|e| (e.len as f64 * sserver_fraction(counts, e.widths())) as u64)
+        .map(|e| (e.len as f64 * sserver_fraction(counts, [e.width(0), e.width(1)])) as u64)
         .sum()
 }
 
@@ -106,7 +105,7 @@ impl SpaceBalancer {
         let step = self.optimizer.effective_step(avg.max(1));
         candidates(avg, step, counts)
             .into_iter()
-            .filter(|widths| sserver_fraction(counts, widths) <= max_frac + 1e-12)
+            .filter(|&widths| sserver_fraction(counts, widths) <= max_frac + 1e-12)
             .map(|widths| StripeChoice {
                 widths,
                 cost: requests.cost_of_widths(
@@ -166,7 +165,7 @@ impl SpaceBalancer {
                 if adjusted[i] {
                     continue;
                 }
-                let cur_frac = sserver_fraction(counts, e.widths());
+                let cur_frac = sserver_fraction(counts, [e.width(0), e.width(1)]);
                 if cur_frac == 0.0 {
                     continue;
                 }
@@ -185,7 +184,7 @@ impl SpaceBalancer {
                 let Some(plan) = self.constrained_choice(&reqs, avg, cur_frac / 2.0) else {
                     continue;
                 };
-                let new_frac = sserver_fraction(counts, &plan.widths);
+                let new_frac = sserver_fraction(counts, plan.widths);
                 let reclaimed = ((cur_frac - new_frac).max(0.0) * e.len as f64) as u64;
                 if reclaimed == 0 {
                     continue;
@@ -259,9 +258,9 @@ mod tests {
 
     #[test]
     fn fraction_math() {
-        assert!((sserver_fraction([6, 2], &[32 * KB, 160 * KB]) - 320.0 / 512.0).abs() < 1e-12);
-        assert_eq!(sserver_fraction([6, 2], &[64 * KB, 0]), 0.0);
-        assert_eq!(sserver_fraction([0, 2], &[0, 64 * KB]), 1.0);
+        assert!((sserver_fraction([6, 2], [32 * KB, 160 * KB]) - 320.0 / 512.0).abs() < 1e-12);
+        assert_eq!(sserver_fraction([6, 2], [64 * KB, 0]), 0.0);
+        assert_eq!(sserver_fraction([0, 2], [0, 64 * KB]), 1.0);
     }
 
     #[test]
