@@ -119,22 +119,18 @@ rm -rf "$out"
 
 echo "== paper results =="
 # Regenerates every figure and ablation at the paper's sizes (~20 s) and
-# diffs each results/*.json byte for byte. The only wall-clock values in
-# them are abl-step.json's planner timings (`wall_s`), so those lines are
-# dropped from both sides of that one diff.
+# diffs the results/*.json files byte for byte, so a file missing on either
+# side fails too. The only wall-clock values in them are abl-step.json's
+# planner timings (`wall_s`), so those lines are dropped from both sides of
+# that one diff; results/full_run.log is the committed run's console log.
 out="$(mktemp -d)"
 cargo run --release -q -p harl-bench --bin experiments -- \
     --paper --out "$out" all >/dev/null
 status=0
-for f in results/*.json "$out"/*.json; do
-    name="$(basename "$f")"
-    if [ "$name" = abl-step.json ]; then
-        diff -u <(grep -v '"wall_s":' "results/$name") \
-            <(grep -v '"wall_s":' "$out/$name") || status=1
-    else
-        diff -u "results/$name" "$out/$name" || status=1
-    fi
-done
+diff -ru --exclude=abl-step.json --exclude=full_run.log results "$out" || status=1
+diff -u <(grep -v '"wall_s":' results/abl-step.json) \
+    <(grep -v '"wall_s":' "$out/abl-step.json") || status=1
+rm -rf "$out"
 if [ "$status" -ne 0 ]; then
     echo "paper results diverged from results/*.json" >&2
     echo "(if the change is intentional, regenerate them with" >&2
@@ -142,7 +138,6 @@ if [ "$status" -ne 0 ]; then
     exit 1
 fi
 echo "paper results match results/*.json"
-rm -rf "$out"
 
 echo "== determinism audit (fast tier) =="
 # Re-runs the smoke and multiapp scenarios at 1 and 8 planner threads,

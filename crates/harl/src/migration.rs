@@ -16,7 +16,7 @@
 //! two-tier: it needs a `K = 2` model, class 0 the HServers and class 1
 //! the SServers.
 
-use crate::model::MultiProfileModel;
+use crate::model::{CostKernel, MultiProfileModel};
 use crate::optimizer::{candidates, pick_better, OptimizerConfig, RegionRequests, StripeChoice};
 use crate::rst::{RegionStripeTable, RstEntry};
 use crate::trace::TraceRecord;
@@ -97,6 +97,7 @@ impl SpaceBalancer {
     /// the `[R̄, 0]` extreme).
     fn constrained_choice(
         &self,
+        kernel: &CostKernel,
         requests: &RegionRequests<'_>,
         avg: u64,
         max_frac: f64,
@@ -108,11 +109,7 @@ impl SpaceBalancer {
             .filter(|&widths| sserver_fraction(counts, widths) <= max_frac + 1e-12)
             .map(|widths| StripeChoice {
                 widths,
-                cost: requests.cost_of_widths(
-                    &self.model,
-                    &widths,
-                    self.optimizer.max_requests_per_eval,
-                ),
+                cost: requests.cost_under(kernel, &widths, self.optimizer.max_requests_per_eval),
             })
             .reduce(pick_better)
     }
@@ -141,6 +138,7 @@ impl SpaceBalancer {
         // Iteratively re-plan the region with the best reclaim-per-cost
         // under a halved SServer share bound until the budget holds or
         // nothing more can be reclaimed.
+        let kernel = CostKernel::new(&self.model);
         let mut entries: Vec<RstEntry> = rst.entries().to_vec();
         let mut adjusted = vec![false; entries.len()];
         let mut old_cost_total = crate::fold::OrderedSum::new();
@@ -176,12 +174,10 @@ impl SpaceBalancer {
                 } else {
                     e.width(0).max(e.width(1))
                 };
-                let old_cost = reqs.cost_of_widths(
-                    &self.model,
-                    e.widths(),
-                    self.optimizer.max_requests_per_eval,
-                );
-                let Some(plan) = self.constrained_choice(&reqs, avg, cur_frac / 2.0) else {
+                let old_cost =
+                    reqs.cost_under(&kernel, e.widths(), self.optimizer.max_requests_per_eval);
+                let Some(plan) = self.constrained_choice(&kernel, &reqs, avg, cur_frac / 2.0)
+                else {
                     continue;
                 };
                 let new_frac = sserver_fraction(counts, plan.widths);

@@ -232,9 +232,11 @@ impl<'a> Scorer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::OptimizerConfig;
+    use crate::optimizer::{optimize_region, OptimizerConfig, RegionRequests};
+    use crate::trace::TraceRecord;
     use harl_devices::{hdd_2015_preset, nvme_2020_preset, ssd_2015_preset, NetworkProfile};
     use harl_pfs::ClusterConfig;
+    use harl_simcore::{SimContext, SimNanos};
 
     const KB: u64 = 1024;
 
@@ -246,6 +248,43 @@ mod tests {
     fn descend(model: &MultiProfileModel, sample: &[(u64, u64, OpKind)], avg: u64) -> LayoutChoice {
         let step = OptimizerConfig::default().effective_step(avg);
         coordinate_descent(model, step, sample, avg).0
+    }
+
+    #[test]
+    fn coordinate_descent_matches_grid_on_two_classes() {
+        let model = MultiProfileModel::from_cluster(&ClusterConfig::paper_default());
+        let records: Vec<TraceRecord> = (0..32)
+            .map(|i| TraceRecord {
+                rank: 0,
+                fd: 0,
+                op: OpKind::Read,
+                offset: i as u64 * 512 * KB,
+                size: 512 * KB,
+                timestamp: SimNanos::ZERO,
+            })
+            .collect();
+        let grid = optimize_region(
+            &SimContext::new(),
+            &model,
+            &RegionRequests::new(&records, 0),
+            512 * KB,
+            &OptimizerConfig {
+                threads: 1,
+                ..OptimizerConfig::default()
+            },
+            0,
+        );
+        let LayoutChoice { widths, cost } =
+            descend(&model, &sample(32, 512 * KB, OpKind::Read), 512 * KB);
+        // Coordinate descent can stop at a local optimum; it must get
+        // within a few percent of the exhaustive grid and produce the same
+        // qualitative shape (s >> h).
+        assert!(
+            cost <= grid.cost * 1.05,
+            "descent cost {cost} vs grid {g}",
+            g = grid.cost
+        );
+        assert!(widths[1] > widths[0], "SSD class must get larger stripes");
     }
 
     #[test]

@@ -372,7 +372,7 @@ impl OnlineMonitor {
             threads: if outer > 1 { 1 } else { budget },
             ..self.cfg.optimizer.clone()
         };
-        let model = &self.model;
+        let (model, kernel) = (&self.model, &self.kernel);
         let ctx = &self.ctx;
         let outcomes = crate::optimizer::fan_out(jobs.len(), outer, |i| {
             let job = &jobs[i];
@@ -389,9 +389,8 @@ impl OnlineMonitor {
                 ),
             };
             // Predicted per-request saving under the new widths.
-            let old_cost =
-                reqs.cost_of_widths(model, job.entry.widths(), inner.max_requests_per_eval);
-            let new_cost = reqs.cost_of_widths(model, &choice.widths, inner.max_requests_per_eval);
+            let old_cost = reqs.cost_under(kernel, job.entry.widths(), inner.max_requests_per_eval);
+            let new_cost = reqs.cost_under(kernel, &choice.widths, inner.max_requests_per_eval);
             (choice, old_cost, new_cost)
         });
 

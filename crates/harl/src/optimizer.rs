@@ -151,9 +151,15 @@ impl<'a> RegionRequests<'a> {
 
     /// Model cost of this region under per-class widths, summed over the
     /// (sampled) requests — exposed for baseline policies that search a
-    /// restricted candidate set.
+    /// restricted candidate set. Tabulates `model` on every call; a caller
+    /// that costs many candidates builds one [`CostKernel`] and calls
+    /// [`Self::cost_under`].
     pub fn cost_of_widths(&self, model: &MultiProfileModel, widths: &[u64], cap: usize) -> f64 {
-        let kernel = CostKernel::new(model);
+        self.cost_under(&CostKernel::new(model), widths, cap)
+    }
+
+    /// [`Self::cost_of_widths`] under an already tabulated model.
+    pub fn cost_under(&self, kernel: &CostKernel, widths: &[u64], cap: usize) -> f64 {
         let spans = kernel.spans(widths);
         crate::fold::sum_f64(
             self.sample(cap)
@@ -401,25 +407,11 @@ pub(crate) fn strided_runs(sample: &[(u64, u64, harl_devices::OpKind)]) -> Vec<S
     runs
 }
 
-/// Greatest common divisor by Stein's binary algorithm: shifts and
-/// subtractions only, no division — it runs once per run for every
-/// candidate.
 fn gcd(mut a: u64, mut b: u64) -> u64 {
-    if a == 0 || b == 0 {
-        return a | b;
+    while b != 0 {
+        (a, b) = (b, a % b);
     }
-    let shift = (a | b).trailing_zeros();
-    a >>= a.trailing_zeros();
-    loop {
-        b >>= b.trailing_zeros();
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
-        }
-        b -= a;
-        if b == 0 {
-            return a << shift;
-        }
-    }
+    a
 }
 
 fn best_of(kernel: &CostKernel, runs: &[StridedRun], cands: &[[u64; 2]]) -> StripeChoice {
@@ -741,21 +733,6 @@ mod tests {
             .collect();
         assert_eq!(replayed, sample);
         assert_eq!(runs.len(), 40 + 2, "descending: one run per request");
-    }
-
-    #[test]
-    fn binary_gcd_matches_euclid() {
-        let euclid = |mut a: u64, mut b: u64| {
-            while b != 0 {
-                (a, b) = (b, a % b);
-            }
-            a
-        };
-        for a in (0..200u64).chain([4096, 1 << 20, 3 << 40, u64::MAX]) {
-            for b in (0..64u64).chain([24 * KB, 160 * KB, 1 << 63]) {
-                assert_eq!(gcd(a, b), euclid(a, b), "gcd({a}, {b})");
-            }
-        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * [`HarlPolicy`] — the paper's contribution: Algorithm 1 region
 //!   division + Algorithm 2 per-region width optimisation + RST merge.
 
-use crate::model::MultiProfileModel;
+use crate::model::{CostKernel, MultiProfileModel};
 use crate::optimizer::{optimize_region, OptimizerConfig, RegionRequests};
 use crate::region::RegionDivisionConfig;
 use crate::rst::{RegionStripeTable, RstEntry};
@@ -162,6 +162,7 @@ impl LayoutPolicy for SegmentPolicy {
     fn plan(&self, _ctx: &SimContext, trace: &Trace, file_size: u64) -> RegionStripeTable {
         let sorted = trace.sorted_by_offset();
         let classes = self.model.class_count();
+        let kernel = CostKernel::new(&self.model);
         let mut entries = Vec::new();
         let mut offset = 0u64;
         while offset < file_size {
@@ -180,18 +181,14 @@ impl LayoutPolicy for SegmentPolicy {
             let r_bar = avg.max(step).div_ceil(step) * step;
             let reqs = RegionRequests::new(segment, offset);
             let cap = self.optimizer.max_requests_per_eval;
-            let mut best: Option<(u64, f64)> = None;
-            for k in (step..=r_bar).step_by(step as usize) {
-                let cost = reqs.cost_of_widths(&self.model, &vec![k; classes], cap);
-                best = Some(match best {
-                    None => (k, cost),
-                    Some(b) if cost < b.1 => (k, cost),
-                    Some(b) => b,
-                });
-            }
-            // `step..=r_bar` holds at least `step` (r_bar >= step), so the
-            // grid always yields a candidate; the fallback is unreachable.
-            let (stripe, _) = best.unwrap_or((step, 0.0));
+            // The first of equally cheap widths wins. `step..=r_bar` holds
+            // at least `step` (r_bar >= step), so the grid always yields a
+            // candidate; the fallback is unreachable.
+            let (stripe, _) = (step..=r_bar)
+                .step_by(step as usize)
+                .map(|k| (k, reqs.cost_under(&kernel, &vec![k; classes], cap)))
+                .reduce(|best, c| if c.1 < best.1 { c } else { best })
+                .unwrap_or((step, 0.0));
             entries.push(RstEntry::new(offset, len, vec![stripe; classes]));
             offset += len;
         }
